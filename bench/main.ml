@@ -69,6 +69,20 @@ let perf_fields ?(domains = 1) () =
     ~wall_clock_s:(Unix.gettimeofday () -. !section_t0)
     ~events:!section_events ~domains
 
+(* One layer's counters, read from the machine's single Stats registry:
+   counters are named "<layer>.<event>", so a name prefix selects a
+   layer. Zero counters are elided. *)
+let print_counters stats prefix =
+  let rows =
+    List.filter
+      (fun (k, v) -> v <> 0 && String.starts_with ~prefix k)
+      (Simcore.Stats.to_alist stats)
+  in
+  Format.printf "@[<hov>%a@]@."
+    (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (k, v) ->
+         Format.fprintf ppf "%s=%d" k v))
+    rows
+
 (* ------------------------------------------------------------------ *)
 (* Table 1: costs of basic operations                                  *)
 (* ------------------------------------------------------------------ *)
@@ -624,17 +638,12 @@ let faults ~smoke ~domains () =
       let r, sys = run_plan plan in
       if rate = 0.0 then base := r.Apps.Nqueens_par.elapsed;
       let clean = Diagnostics.is_clean (Diagnostics.survey sys) in
-      let drops, dups, rexmit, dupdis, acks =
-        match Services.Faultstats.survey sys with
-        | None -> (0, 0, 0, 0, 0)
-        | Some f ->
-            Services.Faultstats.
-              ( f.total_drops,
-                f.total_dups,
-                f.total_retransmits,
-                f.total_dup_discards,
-                f.total_acks )
-      in
+      let m = System.machine sys and get = Simcore.Stats.get (System.stats sys) in
+      let drops = Machine.Engine.packets_dropped m
+      and dups = Machine.Engine.packets_duplicated m
+      and rexmit = get "reliable.retransmit"
+      and dupdis = get "reliable.dup_discard"
+      and acks = get "reliable.ack" in
       Format.printf "%5.0f%% %10d %12.2f %8.2fx %8d %6d %8d %6d %8d %6s@."
         (100. *. rate) r.Apps.Nqueens_par.solutions
         (Simcore.Time.to_ms r.elapsed)
@@ -667,9 +676,12 @@ let faults ~smoke ~domains () =
     r.Apps.Nqueens_par.solutions
     (Simcore.Time.to_ms r.elapsed)
     (if clean then "clean" else "DIRTY");
-  (match Services.Faultstats.survey sys with
-  | Some f -> Format.printf "%a@." Services.Faultstats.pp f
-  | None -> ());
+  let m = System.machine sys in
+  Format.printf "faults: %d dropped (%d by the crash window), %d duplicated@."
+    (Machine.Engine.packets_dropped m)
+    (Machine.Engine.crash_dropped m)
+    (Machine.Engine.packets_duplicated m);
+  print_counters (System.stats sys) "reliable.";
   Format.printf
     "chunk-stall wait while partitioned: %d ns total@."
     (Simcore.Stats.get (System.stats sys) "chunk.stall.wait_ns");
@@ -682,7 +694,6 @@ let faults ~smoke ~domains () =
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
-         ("domains", Int domains);
          ("drop_max_pct", Float (100. *. List.fold_left Float.max 0. rates));
          ("slowdown_at_max_drop", Float !j_slowdown);
          ("drops", Int !j_drops);
@@ -1007,9 +1018,7 @@ let dgc_bench ~smoke () =
     "with dgc:    %6d create/drop cycles, live set %4d -> resident %6d \
      record(s); %d reclaimed, %d restocked, %d slot(s) recycled@."
     cycles live resident (Dgc.reclaimed g) (Dgc.restocked g) recycled;
-  (match Services.Gcstats.survey sys with
-  | Some r -> Format.printf "%a@." Services.Gcstats.pp r
-  | None -> ());
+  print_counters (System.stats sys) "dgc.";
 
   (* Recycling off: same workload, collector never attached — memory
      can only grow. Probe events at fractions of the managed run's
@@ -1086,21 +1095,15 @@ let dgc_bench ~smoke () =
   for node = 0 to nodes - 1 do
     stubs_left := !stubs_left + Migrate.stub_count m ~node
   done;
-  let live_stubs_in_report =
-    match Services.Migstats.survey sys with
-    | Some r ->
-        Array.fold_left
-          (fun acc (row : Services.Migstats.node_row) ->
-            acc + row.Services.Migstats.stubs)
-          0 r.Services.Migstats.per_node
-    | None -> -1
+  let stubs_in_survey =
+    List.fold_left ( + ) 0
+      (List.map snd (Diagnostics.survey sys).Diagnostics.forwarding_stubs)
   in
   Format.printf
     "%d cell(s) spawned, %d migrated, then dropped: %d recall(s), %d \
-     unstub(s), %d forwarding stub(s) left (migstats sees %d)@."
-    cells !moved (Dgc.recalls g) (Dgc.unstubs g) !stubs_left
-    live_stubs_in_report;
-  if !stubs_left <> 0 || live_stubs_in_report <> 0 then begin
+     unstub(s), %d forwarding stub(s) left (diagnostics sees %d)@."
+    cells !moved (Dgc.recalls g) (Dgc.unstubs g) !stubs_left stubs_in_survey;
+  if !stubs_left <> 0 || stubs_in_survey <> 0 then begin
     Format.printf "FAILED forwarding-stub reclamation gate@.";
     exit 1
   end;
@@ -1307,7 +1310,6 @@ let coalesce_bench ~smoke ~domains () =
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
-         ("domains", Int domains);
          ("messages", Int expected);
          ("packets_off", Int p_off);
          ("packets_on", Int p_on);
@@ -1442,8 +1444,9 @@ let recover_bench ~smoke ~domains () =
   let m, tl, mgr, lost, dup, max_gap = recover_burst ~rounds ~burst ~crashes () in
   note_machine_events m;
   let audit = Recover.Manager.audit_quiescent mgr in
-  let report = Option.get (Services.Recoverstats.survey_machine m) in
-  Format.printf "%a@." Services.Recoverstats.pp report;
+  let get = Simcore.Stats.get (Engine.stats m) in
+  print_counters (Engine.stats m) "recover.";
+  Format.printf "%d packet(s) lost to down windows@." (Engine.crash_dropped m);
   let crashed = List.map (fun cs -> cs.Recover.Manager.cs_node) crashes in
   let outage =
     List.fold_left (fun acc i -> max acc max_gap.(i)) 0 crashed
@@ -1476,7 +1479,7 @@ let recover_bench ~smoke ~domains () =
     Format.printf "FAILED recovery-audit gate@.";
     exit 1
   end;
-  if report.Services.Recoverstats.restarts <> List.length crashes then begin
+  if get "recover.restarts" <> List.length crashes then begin
     Format.printf "FAILED restart-count gate@.";
     exit 1
   end;
@@ -1703,13 +1706,10 @@ let recover_bench ~smoke ~domains () =
     \  \"events_per_sec\": %.3f,\n\
     \  \"domains\": %d\n\
      }\n"
-    smoke report.Services.Recoverstats.crashes
-    report.Services.Recoverstats.restarts
-    report.Services.Recoverstats.checkpoints
-    report.Services.Recoverstats.checkpoint_bytes
-    report.Services.Recoverstats.replayed
-    report.Services.Recoverstats.inbox_rebuilt recovery_max
-    report.Services.Recoverstats.recovery_ns outage baseline lost dup
+    smoke (get "recover.crashes") (get "recover.restarts")
+    (get "recover.ckpts") (get "recover.ckpt_bytes") (get "recover.replayed")
+    (get "recover.inbox_rebuilt") recovery_max (get "recover.recovery_ns")
+    outage baseline lost dup
     (Services.Timeline.hash tl) identical
     (match env_hash with
     | Some h -> Printf.sprintf "%016x" h

@@ -95,7 +95,10 @@ let survey sys =
     stock_low_water = (if !low_water = max_int then 0 else !low_water);
     in_flight = Machine.Engine.reliable_in_flight machine;
     packets_dropped = Machine.Engine.packets_dropped machine;
-    batches_sent = Simcore.Stats.get stats "coalesce.batch";
+    batches_sent =
+      (match Machine.Engine.coalesce_stats machine with
+      | Some s -> s.Machine.Coalesce.s_batches
+      | None -> 0);
     coalesce_buffered = Machine.Engine.coalesce_buffered machine;
     crashes = Simcore.Stats.get stats "recover.crashes";
     checkpoint_bytes = Simcore.Stats.get stats "recover.ckpt_bytes";

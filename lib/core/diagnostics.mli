@@ -33,8 +33,9 @@ type report = {
       (** packets the fault layer destroyed during the run (these were
           all repaired by retransmission iff [in_flight] is 0) *)
   batches_sent : int;
-      (** aggregated multi-frame packets shipped over the run (the
-          "coalesce.batch" counter; 0 with coalescing off) *)
+      (** aggregated multi-frame packets shipped over the run
+          ({!Machine.Coalesce.stats} [s_batches]; 0 with coalescing
+          off) *)
   coalesce_buffered : int;
       (** messages still sitting in open aggregation buffers at survey
           time — nonzero at quiescence means a flush trigger never

@@ -112,15 +112,11 @@ type t = {
   c_sweeps : Simcore.Stats.cell;
   c_sweeps_skipped : Simcore.Stats.cell;
   c_reclaimed : Simcore.Stats.cell;
-  c_reclaimed_node : Simcore.Stats.cell array;
   c_stubs_freed : Simcore.Stats.cell;
-  c_stubs_freed_node : Simcore.Stats.cell array;
   c_restocked : Simcore.Stats.cell;
-  c_restocked_node : Simcore.Stats.cell array;
   c_dec_msgs : Simcore.Stats.cell;
   c_dec_piggybacked : Simcore.Stats.cell;
   c_dec_entries : Simcore.Stats.cell;
-  c_dec_entries_node : Simcore.Stats.cell array;
   c_grants : Simcore.Stats.cell;
   c_splits : Simcore.Stats.cell;
   c_indirections : Simcore.Stats.cell;
@@ -288,15 +284,11 @@ let gc_accept t rt refs =
 
 (* --- decrement delivery ------------------------------------------- *)
 
-let note_dec_entries t node n =
-  Simcore.Stats.bump_n t.c_dec_entries n;
-  Simcore.Stats.bump_n t.c_dec_entries_node.(node) n
-
 (* Snapshot the pending table before sending: with aggregation live,
    send_am can flush a batch, which re-enters this module through the
    piggyback hook below — mutating [d_out] mid-[Hashtbl.iter] would be
    undefined. After the reset the hook just finds the table empty. *)
-let flush t node rt d =
+let flush t rt d =
   let pending = Hashtbl.fold (fun dst b acc -> (dst, b) :: acc) d.d_out [] in
   Hashtbl.reset d.d_out;
   List.iter
@@ -304,7 +296,7 @@ let flush t node rt d =
       if b.b_decs <> [] || b.b_inds <> [] then begin
         let n = List.length b.b_decs + List.length b.b_inds in
         Simcore.Stats.bump t.c_dec_msgs;
-        note_dec_entries t node n;
+        Simcore.Stats.bump_n t.c_dec_entries n;
         Engine.send_am t.machine ~src:rt.Kernel.node ~dst ~handler:t.h_dec
           ~size_bytes:(8 + (8 * n))
           (G_dec { decs = b.b_decs; ind_decs = b.b_inds })
@@ -325,7 +317,7 @@ let piggyback_riders t ~src ~dst =
         let n = List.length b.b_decs + List.length b.b_inds in
         Simcore.Stats.bump t.c_dec_msgs;
         Simcore.Stats.bump t.c_dec_piggybacked;
-        note_dec_entries t src n;
+        Simcore.Stats.bump_n t.c_dec_entries n;
         [
           {
             Machine.Am.handler = t.h_dec;
@@ -400,8 +392,7 @@ let sweep t ~node =
   List.iter
     (fun slot ->
       Sched.recycle_slot rt slot;
-      Simcore.Stats.bump t.c_restocked;
-      Simcore.Stats.bump t.c_restocked_node.(node))
+      Simcore.Stats.bump t.c_restocked)
     d.d_quarantine;
   d.d_quarantine <- [];
   Hashtbl.iter (fun _ st -> st.st_marked <- false) d.d_stubs;
@@ -428,7 +419,6 @@ let sweep t ~node =
       on_free =
         (fun (obj : Kernel.obj) ->
           Simcore.Stats.bump t.c_reclaimed;
-          Simcore.Stats.bump t.c_reclaimed_node.(node);
           Hashtbl.remove d.d_scion obj.Kernel.self.Value.slot;
           (match t.migrate with
           | Some m ->
@@ -471,7 +461,6 @@ let sweep t ~node =
         (fun (((onode, oslot) as k), st) ->
           Hashtbl.remove d.d_stubs k;
           Simcore.Stats.bump t.c_stubs_freed;
-          Simcore.Stats.bump t.c_stubs_freed_node.(node);
           if st.st_weight > 0 then begin
             Kernel.charge rt c.Cost_model.gc_dec_entry;
             out_dec d onode oslot st.st_weight
@@ -522,7 +511,7 @@ let sweep t ~node =
                 | None -> ())
             rt.Kernel.objects
       | None -> ()));
-  flush t node rt d;
+  flush t rt d;
   d.d_quarantine <- d.d_fresh;
   d.d_fresh <- [];
   outcome
@@ -646,7 +635,6 @@ let attach ?migrate ?(interval_ns = 0) ?(grant_weight = 64) sys =
            | _ -> assert false))
   in
   let ctr = Simcore.Stats.counter stats in
-  let per_node fmt = Array.init p (fun i -> ctr (Printf.sprintf fmt i)) in
   let t =
     {
       sys;
@@ -671,15 +659,11 @@ let attach ?migrate ?(interval_ns = 0) ?(grant_weight = 64) sys =
       c_sweeps = ctr "dgc.sweeps";
       c_sweeps_skipped = ctr "dgc.sweeps_skipped";
       c_reclaimed = ctr "dgc.reclaimed";
-      c_reclaimed_node = per_node "dgc.reclaimed.node%d";
       c_stubs_freed = ctr "dgc.stubs_freed";
-      c_stubs_freed_node = per_node "dgc.stubs_freed.node%d";
       c_restocked = ctr "dgc.restocked";
-      c_restocked_node = per_node "dgc.restocked.node%d";
       c_dec_msgs = ctr "dgc.dec.msgs";
       c_dec_piggybacked = ctr "dgc.dec.piggybacked";
       c_dec_entries = ctr "dgc.dec.entries";
-      c_dec_entries_node = per_node "dgc.dec.entries.node%d";
       c_grants = ctr "dgc.grants";
       c_splits = ctr "dgc.splits";
       c_indirections = ctr "dgc.indirections";

@@ -101,8 +101,6 @@ type stats = {
   s_flush_credit : int;
   s_buffered : int;
   s_occupancy : Simcore.Histogram.t;
-  s_node_batches : int array;
-  s_node_singles : int array;
 }
 
 let create ?(config = default_config) ~nodes () =
@@ -296,6 +294,4 @@ let stats t =
     s_flush_credit = sum t.flush_credit_by_src;
     s_buffered = sum t.buffered_by_src;
     s_occupancy = occupancy;
-    s_node_batches = Array.copy t.node_batches;
-    s_node_singles = Array.copy t.node_singles;
   }

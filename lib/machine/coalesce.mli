@@ -107,7 +107,10 @@ type stats = {
   s_batches : int;  (** multi-frame packets shipped *)
   s_singles : int;  (** bypass sends *)
   s_frames : int;  (** frames shipped inside batches *)
-  s_riders : int;  (** piggybacked control AMs appended at flush *)
+  s_riders : int;
+      (** control AMs the piggyback hook handed to departing batches
+          (under a fault plan, a rider that finds the window full waits
+          in the reliable backlog instead of riding) *)
   s_flush_size : int;
   s_flush_idle : int;
   s_flush_deadline : int;
@@ -115,8 +118,6 @@ type stats = {
   s_flush_credit : int;
   s_buffered : int;
   s_occupancy : Simcore.Histogram.t;  (** frames per batch *)
-  s_node_batches : int array;
-  s_node_singles : int array;
 }
 
 val stats : 'a t -> stats

@@ -101,14 +101,9 @@ and t = {
   incarnation : int array;
   restart_due : Simcore.Time.t array;
   node_crashes : int array;
-  c_drop : Simcore.Stats.cell;
-  c_dup : Simcore.Stats.cell;
   c_retransmit : Simcore.Stats.cell;
   c_dup_discard : Simcore.Stats.cell;
   c_ack : Simcore.Stats.cell;
-  c_co_batch : Simcore.Stats.cell;
-  c_co_single : Simcore.Stats.cell;
-  c_co_rider : Simcore.Stats.cell;
   c_down_drop : Simcore.Stats.cell;
   c_post_refused : Simcore.Stats.cell;
 }
@@ -250,14 +245,9 @@ let create ?(config = default_config) ~nodes:n () =
     incarnation = Array.make n 0;
     restart_due = Array.make n 0;
     node_crashes = Array.make n 0;
-    c_drop = Simcore.Stats.counter stats "fault.drop";
-    c_dup = Simcore.Stats.counter stats "fault.dup";
     c_retransmit = Simcore.Stats.counter stats "reliable.retransmit";
     c_dup_discard = Simcore.Stats.counter stats "reliable.dup_discard";
     c_ack = Simcore.Stats.counter stats "reliable.ack";
-    c_co_batch = Simcore.Stats.counter stats "coalesce.batch";
-    c_co_single = Simcore.Stats.counter stats "coalesce.single";
-    c_co_rider = Simcore.Stats.counter stats "coalesce.rider";
     c_down_drop = Simcore.Stats.counter stats "recover.dropped_while_down";
     c_post_refused = Simcore.Stats.counter stats "recover.posts_refused";
   }
@@ -367,10 +357,7 @@ let schedule_on t ~node ~time fn =
 
 let packets_dropped t = Network.Fabric.packets_dropped t.fabric
 let packets_duplicated t = Network.Fabric.packets_duplicated t.fabric
-let dropped_by_src t src = Network.Fabric.dropped_by_src t.fabric src
-let duplicated_by_src t src = Network.Fabric.duplicated_by_src t.fabric src
 let crash_dropped t = Network.Fabric.crash_dropped t.fabric
-let crash_dropped_by_node t i = Network.Fabric.crash_dropped_by_node t.fabric i
 
 let charge t n instructions =
   Node.charge_ns n (Cost_model.time t.config.cost instructions)
@@ -483,10 +470,6 @@ let transmit_frame t ~control ~now ~src ~dst (frame : Reliable.frame) =
   if frame.Reliable.fr_seq >= 0 then
     Reliable.note_eta (Option.get t.rel) ~src ~dst ~seq:frame.Reliable.fr_seq
       ~eta;
-  (match arrivals with
-  | [] -> Simcore.Stats.bump t.c_drop
-  | [ _ ] -> ()
-  | _ -> Simcore.Stats.bump t.c_dup);
   List.iter
     (fun arrival ->
       emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
@@ -546,14 +529,11 @@ let collect_riders t ~src ~dst =
   | Some hook ->
       let riders = hook ~src ~dst in
       List.iter
-        (fun (am : Am.t) ->
-          Simcore.Stats.bump (handler t am.Am.handler).h_sent;
-          Simcore.Stats.bump t.c_co_rider)
+        (fun (am : Am.t) -> Simcore.Stats.bump (handler t am.Am.handler).h_sent)
         riders;
       riders
 
-let note_batch t co ~src ~frames ~riders ~cause =
-  Simcore.Stats.bump t.c_co_batch;
+let note_batch co ~src ~frames ~riders ~cause =
   match co with
   | Co_data c -> Coalesce.note_batch c ~src ~frames ~riders ~cause
   | Co_framed c -> Coalesce.note_batch c ~src ~frames ~riders ~cause
@@ -574,7 +554,7 @@ let flush_data t co ~src ~dst ~now ~cause =
       in
       let ams = ams @ riders in
       let frames = List.length ams in
-      note_batch t (Co_data co) ~src ~frames ~riders:(List.length riders) ~cause;
+      note_batch (Co_data co) ~src ~frames ~riders:(List.length riders) ~cause;
       let arrival =
         Network.Fabric.send t.fabric ~now
           (Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_data ams))
@@ -624,7 +604,8 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
             List.rev ({ last with Reliable.fr_ack = ack } :: rest)
       in
       let n_frames = List.length frames in
-      note_batch t (Co_framed co) ~src ~frames:n_frames ~riders:n_riders ~cause;
+      note_batch (Co_framed co) ~src ~frames:n_frames
+        ~riders:(List.length riders) ~cause;
       let p =
         Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_framed frames)
       in
@@ -634,10 +615,6 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
           if fr.Reliable.fr_seq >= 0 then
             Reliable.note_eta rel ~src ~dst ~seq:fr.Reliable.fr_seq ~eta)
         frames;
-      (match arrivals with
-      | [] -> Simcore.Stats.bump t.c_drop
-      | [ _ ] -> ()
-      | _ -> Simcore.Stats.bump t.c_dup);
       let sizes = List.map frame_wire_bytes frames in
       List.iter
         (fun arrival ->
@@ -662,7 +639,6 @@ let co_send_data t co ~src ~dst ~now am =
     Coalesce.offer co ~src ~dst ~now ~bytes:(am_wire_bytes am) ~port_free am
   with
   | `Bypass ->
-      Simcore.Stats.bump t.c_co_single;
       let arrival =
         Network.Fabric.send t.fabric ~now
           (Network.Packet.make ~src ~dst ~size_bytes:am.Am.size_bytes (Data am))
@@ -692,7 +668,6 @@ let co_send_framed t rel co ~src ~dst ~now am =
           ~port_free frame
       with
       | `Bypass ->
-          Simcore.Stats.bump t.c_co_single;
           let eta = transmit_frame t ~control:false ~now ~src ~dst frame in
           add_event t ~time:eta (Co_credit { src; dst })
       | `Opened ->
@@ -764,6 +739,12 @@ let handle_frame t rel ~time ~src ~dst (frame : Reliable.frame) =
   charge t dst_node c.Cost_model.reliable_frame;
   (* The piggybacked (or pure) ack serves the reverse channel. *)
   let released = Reliable.on_ack rel ~src:dst ~dst:src ~ack:frame.Reliable.fr_ack ~now:time in
+  (* A partial-ack re-send leads the list; it is a retransmission like
+     the timer's, though the ack-clocked path charges no instructions. *)
+  (match released with
+  | fr :: _ when Reliable.resent rel ~src:dst ~dst:src ~seq:fr.Reliable.fr_seq ->
+      Simcore.Stats.bump t.c_retransmit
+  | _ -> ());
   List.iter
     (fun fr -> ignore (transmit_frame t ~control:true ~now:time ~src:dst ~dst:src fr))
     released;

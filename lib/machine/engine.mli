@@ -222,9 +222,6 @@ val packets_dropped : t -> int
 
 val packets_duplicated : t -> int
 
-val dropped_by_src : t -> int -> int
-val duplicated_by_src : t -> int -> int
-
 val faults_state : t -> Network.Faults.t option
 (** The fabric's live fault state: the recovery manager re-times crash
     windows through it ({!Network.Faults.set_crashes}) before traffic
@@ -282,9 +279,6 @@ val node_crash_count : t -> int -> int
 val crash_dropped : t -> int
 (** Packets lost to crash windows (vs. random drops); see
     {!Network.Fabric.crash_dropped}. *)
-
-val crash_dropped_by_node : t -> int -> int
-(** Crash losses attributed to the given crashed endpoint. *)
 
 (** {2 Message aggregation} *)
 

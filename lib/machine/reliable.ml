@@ -75,14 +75,10 @@ type t = {
   txs : tx array;  (** indexed by src * nodes + dst *)
   rxs : rx array;  (** indexed by src * nodes + dst *)
   mutable journal : journal option;
-  retransmits : int array;  (** per sending node *)
-  dup_discards : int array;  (** per receiving node *)
-  acks_sent : int array;  (** standalone acks, per sending node *)
   acks_piggybacked : int array;
       (** pending standalone acks cancelled because outgoing data (a
           frame or a flushed batch) carried the cumulative ack instead;
           per sending node *)
-  rto_hist : Simcore.Histogram.t array;
 }
 
 let fresh_tx cfg =
@@ -110,11 +106,7 @@ let create ?(config = default_config) ~nodes () =
     txs = Array.init (nodes * nodes) (fun _ -> fresh_tx config);
     rxs = Array.init (nodes * nodes) (fun _ -> fresh_rx ());
     journal = None;
-    retransmits = Array.make nodes 0;
-    dup_discards = Array.make nodes 0;
-    acks_sent = Array.make nodes 0;
     acks_piggybacked = Array.make nodes 0;
-    rto_hist = Array.init nodes (fun _ -> Simcore.Histogram.create ());
   }
 
 let config t = t.cfg
@@ -246,8 +238,6 @@ let on_ack t ~src ~dst ~ack ~now =
         match Hashtbl.find_opt tx.inflight tx.base with
         | Some (am, _, _) ->
             Hashtbl.replace tx.inflight tx.base (am, now, false);
-            t.retransmits.(src) <- t.retransmits.(src) + 1;
-            Simcore.Histogram.observe t.rto_hist.(src) tx.rto;
             tx.deadline <- now + tx.rto;
             [
               {
@@ -320,8 +310,6 @@ let on_timer t ~src ~dst ~now =
        (an eventual ack is ambiguous about which copy it answers). The
        caller's note_eta for the new copy re-anchors the deadline. *)
     Hashtbl.replace tx.inflight tx.base (am, now, false);
-    t.retransmits.(src) <- t.retransmits.(src) + 1;
-    Simcore.Histogram.observe t.rto_hist.(src) tx.rto;
     tx.rto <- min (tx.rto * t.cfg.backoff) t.cfg.max_rto_ns;
     tx.deadline <- now + tx.rto;
     tx.timer_armed <- true;
@@ -338,16 +326,10 @@ let on_timer t ~src ~dst ~now =
 
 let on_data t ~src ~dst ~seq am =
   let rx = rx_of t ~src ~dst in
-  if seq < rx.expected then begin
-    t.dup_discards.(dst) <- t.dup_discards.(dst) + 1;
-    `Duplicate
-  end
+  if seq < rx.expected then `Duplicate
   else if seq > rx.expected then
-    if Hashtbl.mem rx.reorder seq then begin
-      (* A duplicate of a frame already waiting in the reorder buffer. *)
-      t.dup_discards.(dst) <- t.dup_discards.(dst) + 1;
-      `Duplicate
-    end
+    (* A frame already waiting in the reorder buffer is a duplicate too. *)
+    if Hashtbl.mem rx.reorder seq then `Duplicate
     else begin
       Hashtbl.add rx.reorder seq am;
       `Reordered
@@ -382,7 +364,6 @@ let on_ack_timer t ~me ~peer =
   if rx.ack_due = max_int then None
   else begin
     rx.ack_due <- max_int;
-    t.acks_sent.(me) <- t.acks_sent.(me) + 1;
     Some { fr_seq = -1; fr_ack = rx.expected - 1; fr_data = None }
   end
 
@@ -420,8 +401,9 @@ let channel_states t =
 
 let rx_expected t ~src ~dst = t.rxs.(key t src dst).expected
 
-let node_retransmits t node = t.retransmits.(node)
-let node_dup_discards t node = t.dup_discards.(node)
-let node_acks_sent t node = t.acks_sent.(node)
+let resent t ~src ~dst ~seq =
+  match Hashtbl.find_opt (tx_of t ~src ~dst).inflight seq with
+  | Some (_, _, sample_ok) -> not sample_ok
+  | None -> false
+
 let node_acks_piggybacked t node = t.acks_piggybacked.(node)
-let rto_histogram t node = t.rto_hist.(node)

@@ -104,8 +104,11 @@ val note_eta :
 val on_ack : t -> src:int -> dst:int -> ack:int -> now:Simcore.Time.t -> frame list
 (** Processes a cumulative ack received by [src] for its channel towards
     [dst]: forgets acknowledged frames, resets the RTO (progress), and
-    returns backlog messages that now fit the window, already sequenced
-    and buffered — the caller must transmit them. *)
+    returns frames the caller must transmit, in order: first, when the
+    ack answered a retransmission and frames remain unacknowledged, a
+    re-send of the new oldest frame (partial-ack recovery, see
+    {!resent}); then backlog messages that now fit the window, already
+    sequenced and buffered. *)
 
 val timer_request : t -> src:int -> dst:int -> now:Simcore.Time.t -> Simcore.Time.t option
 (** After {!push} or {!on_ack}, asks whether a retransmit-timer event
@@ -180,14 +183,12 @@ val rx_expected : t -> src:int -> dst:int -> int
     recovery audit compares this against the journal's released cursor —
     an acked-but-unjournaled message would be lost by a crash. *)
 
-val node_retransmits : t -> int -> int
-val node_dup_discards : t -> int -> int
-val node_acks_sent : t -> int -> int
+val resent : t -> src:int -> dst:int -> seq:int -> bool
+(** Whether unacknowledged frame [seq] of channel (src, dst) has been
+    transmitted more than once (by {!on_timer}, or as the partial-ack
+    re-send at the head of an {!on_ack} result). The engine counts
+    retransmissions; this protocol keeps no counters of its own. *)
 
 val node_acks_piggybacked : t -> int -> int
 (** Pending standalone acks a node cancelled because outgoing data (a
     frame or a flushed batch) carried the cumulative ack instead. *)
-
-val rto_histogram : t -> int -> Simcore.Histogram.t
-(** Per sending node: the distribution of RTO values in force at each
-    retransmission — the tail shows how deep the backoff had to go. *)

@@ -21,6 +21,13 @@ let pp_v oc = function
   | Str s -> Printf.fprintf oc "\"%s\"" (escape s)
 
 let write ~path fields =
+  let seen = Hashtbl.create 16 in
+  List.iter
+    (fun (k, _) ->
+      if Hashtbl.mem seen k then
+        invalid_arg (Printf.sprintf "Bench_json.write: duplicate key %S" k);
+      Hashtbl.add seen k ())
+    fields;
   let oc = open_out path in
   Printf.fprintf oc "{\n";
   List.iteri

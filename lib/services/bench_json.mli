@@ -8,7 +8,8 @@ type v = Int of int | Float of float | Bool of bool | Str of string
 
 val write : path:string -> (string * v) list -> unit
 (** Writes the fields as a pretty-printed JSON object, overwriting any
-    existing file. Field order is preserved. *)
+    existing file. Field order is preserved. Raises [Invalid_argument]
+    (before touching the file) if a key occurs twice. *)
 
 val perf_fields :
   wall_clock_s:float -> events:int -> domains:int -> (string * v) list

@@ -4,6 +4,14 @@
     by name. Counter creation is cached, so the hot path is one
     hashtable lookup amortised to a {!bump} on the cached {!cell}.
 
+    Names follow [<layer>.<event>] ([reliable.retransmit], [dgc.sweeps],
+    [recover.crashes]), so a name prefix selects a layer. Every runtime
+    fact is counted exactly once: an event that a layer already counts
+    in its own structure (fabric drops and duplicates, aggregation
+    batches) gets no Stats cell, and no layer keeps a private copy of a
+    Stats counter or a per-node split of one. Reports and benchmark
+    rows derive from that single count.
+
     Cells are sharded per simulation domain: {!bump} writes a private
     padded slot indexed by {!Domain_ctx.current}, and {!read} sums the
     slots. Bumping is therefore safe from any domain of a parallel run

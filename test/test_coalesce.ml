@@ -259,9 +259,8 @@ let run_riders faults =
     (List.init !handed (fun i -> i + 1))
     (List.sort_uniq compare !riders_got);
   Alcotest.(check int) "no rider duplicated" !handed (List.length !riders_got);
-  Alcotest.(check int) "rider stat matches"
-    !handed
-    (Simcore.Stats.get (Engine.stats m) "coalesce.rider")
+  Alcotest.(check int) "rider stat matches" !handed
+    (Option.get (Engine.coalesce_stats m)).Machine.Coalesce.s_riders
 
 let test_riders_direct () = run_riders None
 
@@ -325,7 +324,20 @@ let run_dgc_churn faults =
     Format.printf "%a@." Diagnostics.pp report;
   Alcotest.(check bool) "clean quiescence" true (Diagnostics.is_clean report);
   Alcotest.(check bool) "collector reclaimed garbage" true
-    (Dgc.reclaimed g > 0)
+    (Dgc.reclaimed g > 0);
+  (* One counter per fact: the fabric and the aggregation layer own the
+     drop, duplicate and batch counts, and the collector keeps no
+     per-node copies of its totals in Stats. *)
+  let shadow name =
+    String.starts_with ~prefix:"fault." name
+    || String.starts_with ~prefix:"coalesce." name
+    || (String.starts_with ~prefix:"dgc." name
+       && List.exists
+            (String.starts_with ~prefix:"node")
+            (String.split_on_char '.' name))
+  in
+  Alcotest.(check (list string)) "no shadow counters" []
+    (List.filter shadow (Simcore.Stats.names (System.stats sys)))
 
 let test_dgc_rides_batches () = run_dgc_churn None
 

@@ -301,12 +301,6 @@ let test_eq_tie_break () =
   in
   drain min_int
 
-let test_trace () =
-  Alcotest.(check bool) "disabled by default" false (Simcore.Trace.enabled ());
-  Simcore.Trace.with_enabled true (fun () ->
-      Alcotest.(check bool) "enabled inside" true (Simcore.Trace.enabled ()));
-  Alcotest.(check bool) "restored" false (Simcore.Trace.enabled ())
-
 let () =
   Alcotest.run "simcore"
     [
@@ -348,5 +342,4 @@ let () =
           Alcotest.test_case "quantile edge cases" `Quick
             test_histogram_quantile_errors;
         ] );
-      ("trace", [ Alcotest.test_case "toggle" `Quick test_trace ]);
     ]

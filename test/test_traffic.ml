@@ -145,6 +145,16 @@ let test_report_json_fields () =
     (Services.Bench_json.read_int_field ~path ~key:"completed");
   Sys.remove path
 
+let test_json_duplicate_key_rejected () =
+  let path = Filename.temp_file "bench_dup" ".json" in
+  Sys.remove path;
+  Alcotest.check_raises "repeated key"
+    (Invalid_argument "Bench_json.write: duplicate key \"domains\"")
+    (fun () ->
+      Services.Bench_json.(
+        write ~path [ ("domains", Int 4); ("smoke", Bool true); ("domains", Int 1) ]));
+  Alcotest.(check bool) "no file written" false (Sys.file_exists path)
+
 (* --- determinism properties ------------------------------------------ *)
 
 let traffic_workload () =
@@ -222,6 +232,8 @@ let () =
       ( "report",
         [
           Alcotest.test_case "json fields" `Quick test_report_json_fields;
+          Alcotest.test_case "json duplicate key rejected" `Quick
+            test_json_duplicate_key_rejected;
           Alcotest.test_case "two direct runs identical" `Quick
             test_direct_two_runs_identical;
         ] );
