@@ -64,7 +64,7 @@ let survey sys =
   let low_water = ref max_int in
   for node = 0 to System.node_count sys - 1 do
     let rt = System.rt sys node in
-    chunk_waiters := !chunk_waiters + List.length rt.Kernel.chunk_waiters;
+    chunk_waiters := !chunk_waiters + Sched.chunk_waiter_count rt;
     if rt.Kernel.stock_low_water < !low_water then
       low_water := rt.Kernel.stock_low_water;
     let node_stubs = ref 0 in

@@ -321,8 +321,10 @@ and node_rt = {
   mutable stock_low_water : int;
       (** smallest stock depth ever observed for any target on this
           node; [stock_size] until the first take *)
-  mutable chunk_waiters : (int * blocked) list;
-      (** (target node, parked requester context) *)
+  mutable chunk_waiters : blocked Queue.t array;
+      (** per target node: contexts parked on its empty stock, oldest
+          first; empty until the node first stalls, so boot does not pay
+          for [p] queues per node. Only {!Sched} touches them. *)
   mutable preempt_pending : int;
       (** preemption resumes posted but not yet run; their captured
           continuations hold stack references no sweep can trace *)

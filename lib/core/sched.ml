@@ -254,7 +254,10 @@ and handle_block :
       obj.blocked <- Some b;
       bump (ctrs rt).c_wait_blocked
   | Wait_chunk target ->
-      rt.chunk_waiters <- rt.chunk_waiters @ [ (target, b) ];
+      if Array.length rt.chunk_waiters = 0 then
+        rt.chunk_waiters <-
+          Array.init (Array.length rt.stocks) (fun _ -> Queue.create ());
+      Queue.push b rt.chunk_waiters.(target);
       bump (ctrs rt).c_chunk_stall
   | Preempted ->
       rt.work_since_yield <- 0;
@@ -534,6 +537,21 @@ and ma_pump rt obj =
         in
         loop ()
       end
+
+(* Chunk-stall waiters (Section 5.2): one FIFO per target, so parking
+   and resuming the earliest waiter for a replying target are O(1). *)
+let resume_chunk_waiter rt ~target =
+  if Array.length rt.chunk_waiters > 0 then
+    match Queue.take_opt rt.chunk_waiters.(target) with
+    | Some b -> resume rt b R_go
+    | None -> ()
+
+let chunk_waiter_count rt =
+  let n = ref 0 in
+  for target = 0 to Array.length rt.chunk_waiters - 1 do
+    n := !n + Queue.length rt.chunk_waiters.(target)
+  done;
+  !n
 
 (* Export tracking (Section 5.2): once an address leaves its node, the
    object can never be moved by a copying collector. *)

@@ -91,6 +91,15 @@ val resume : node_rt -> blocked -> resume -> unit
 (** Restores a saved context and continues its method on the current
     stack. *)
 
+val resume_chunk_waiter : node_rt -> target:int -> unit
+(** Resumes the earliest context parked on this node's empty stock for
+    [target] (Section 5.2: the next chunk reply from [target] wakes it);
+    a no-op when none is parked. O(1). *)
+
+val chunk_waiter_count : node_rt -> int
+(** Contexts parked on this node's empty chunk stocks, over all
+    targets. Allocation-free. *)
+
 val wait_for : node_rt -> obj -> Pattern.t list -> Message.t
 (** Selective message reception: returns a matching buffered message
     without blocking when one is already queued; otherwise switches the

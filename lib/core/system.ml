@@ -91,17 +91,7 @@ let chunk_handler _machine node am =
       let rt = rt_of node in
       Queue.push slot rt.stocks.(am.Am.src);
       bump (ctrs rt).c_chunk_refill;
-      (* Resume the first requester blocked on this target's stock. *)
-      let rec split acc = function
-        | [] -> None
-        | (target, b) :: rest when target = am.Am.src ->
-            rt.chunk_waiters <- List.rev_append acc rest;
-            Some b
-        | pair :: rest -> split (pair :: acc) rest
-      in
-      (match split [] rt.chunk_waiters with
-      | Some b -> Sched.resume rt b R_go
-      | None -> ())
+      Sched.resume_chunk_waiter rt ~target:am.Am.src
   | _ -> assert false
 
 (* --- Boot --- *)
@@ -164,7 +154,7 @@ let boot ?(machine_config = Engine.default_config)
         slots_recycled = 0;
         stocks = Array.init p (fun _ -> Queue.create ());
         stock_low_water = stock;
-        chunk_waiters = [];
+        chunk_waiters = [||];
         preempt_pending = 0;
         rr_cursor = i + 1;
         depth = 0;

@@ -332,15 +332,19 @@ let now_cur t =
    canonical stamp (time, producing node, per-node seq) and replays the
    merged order into the observer at the end; the stamp is a total order
    (per-node seqs never collide) and count-invariant (each node's
-   emission order is), so the Timeline hash is too. *)
+   emission order is), so the Timeline hash is too. Nothing is buffered
+   or stamped when no observer is attached. *)
 let emit_obs t ~time ~node obs =
-  match t.par with
-  | Some p when p.p_running ->
-      let d = Simcore.Domain_ctx.current () in
-      let s = p.p_obs_seq.(node) in
-      p.p_obs_seq.(node) <- s + 1;
-      p.p_obs.(d) <- (time, node, s, obs) :: p.p_obs.(d)
-  | _ -> ( match t.observer with Some f -> f obs | None -> ())
+  match t.observer with
+  | None -> ()
+  | Some f -> (
+      match t.par with
+      | Some p when p.p_running ->
+          let d = Simcore.Domain_ctx.current () in
+          let s = p.p_obs_seq.(node) in
+          p.p_obs_seq.(node) <- s + 1;
+          p.p_obs.(d) <- (time, node, s, obs) :: p.p_obs.(d)
+      | _ -> f obs)
 
 let quiescent t =
   Array.for_all Node.is_idle t.nodes

@@ -170,12 +170,12 @@ let sweep ?(hooks = default_hooks) sys ~node =
       (fun _ (o : Kernel.obj) n -> if Option.is_some o.blocked then n + 1 else n)
       rt.Kernel.objects 0
   in
+  let waiters = Core.Sched.chunk_waiter_count rt in
   if rt.Kernel.depth > 0 then Skipped In_dispatch
   else if rt.Kernel.preempt_pending > 0 then
     Skipped (Preempt_pending rt.Kernel.preempt_pending)
   else if blocked_ctxs > 0 then Skipped (Blocked_contexts blocked_ctxs)
-  else if rt.Kernel.chunk_waiters <> [] then
-    Skipped (Chunk_waiters (List.length rt.Kernel.chunk_waiters))
+  else if waiters > 0 then Skipped (Chunk_waiters waiters)
   else begin
     let machine = Core.System.machine sys in
     let node_handle = Machine.Engine.node machine node in

@@ -402,6 +402,47 @@ let prop_parallel_replay_identical =
         [ 2; 4 ];
       true)
 
+(* Attaching an observer must not change what a parallel run computes:
+   the engine buffers observations only for an attached observer, so
+   the same workload runs once observed and once unobserved. *)
+let test_observer_does_not_change_run () =
+  let run ~observe =
+    let kv = Kv.create ~shards:4 () in
+    let sys = System.boot ~nodes:4 ~classes:(Kv.classes kv) () in
+    Kv.spawn kv sys;
+    let tl = if observe then Some (Services.Timeline.attach sys) else None in
+    ignore
+      (Loadgen.launch_sharded
+         {
+           Loadgen.default_config with
+           seed = 11;
+           rate_rps = 300_000;
+           requests = 120;
+           key_dist = Loadgen.Zipf 1.0;
+         }
+         sys kv);
+    System.run_parallel sys ~domains:2;
+    let observed =
+      match tl with
+      | Some tl ->
+          let d = Services.Timeline.deliveries tl in
+          Services.Timeline.detach tl;
+          d
+      | None -> 0
+    in
+    ( Kv.completed kv,
+      Engine.events_processed (System.machine sys),
+      Stats.to_alist (System.stats sys),
+      observed )
+  in
+  let completed, events, stats, deliveries = run ~observe:true in
+  let completed', events', stats', _ = run ~observe:false in
+  Alcotest.(check bool) "the observer saw the run" true (deliveries > 0);
+  Alcotest.(check int) "every request completed" 120 completed;
+  Alcotest.(check int) "kv completions" completed completed';
+  Alcotest.(check int) "events processed" events events';
+  Alcotest.(check (list (pair string int))) "stats" stats stats'
+
 let test_oversubscribed_domains_identical () =
   (* More domains than nodes must clamp/behave, and more domains than
      host cores must still terminate and agree (the barrier blocks
@@ -620,6 +661,8 @@ let () =
           QCheck_alcotest.to_alcotest prop_parallel_replay_identical;
           Alcotest.test_case "8 domains on a small host" `Quick
             test_oversubscribed_domains_identical;
+          Alcotest.test_case "observer does not change the run" `Quick
+            test_observer_does_not_change_run;
         ] );
       ( "envelope",
         [ QCheck_alcotest.to_alcotest prop_hostile_envelope_identical ] );
