@@ -1,55 +1,58 @@
 (* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation (Section 6), plus the ablations listed in DESIGN.md.
+   evaluation (Section 6), the ablations listed in DESIGN.md, and one
+   gated section per runtime layer.
 
-     dune exec bench/main.exe -- [sections] [--full] [--smoke]
+     dune exec bench/main.exe -- [sections] [flags]
 
-   Sections: table1 table2 table3 table4 fig5 fig6 ablations faults
-   migrate dgc coalesce recover traffic multiactive parallel bechamel
-   all (default: all). --full runs the paper-scale N=13 / 512-node
-   configurations; without it the harness caps at N<=11 so a full pass
-   stays around a minute. --smoke shrinks the fault sweep to two drop
-   rates and the migration bench to N=7 for CI. The traffic section
-   (open-loop load against the sharded KV tier) accepts --baseline
-   FILE: a previously checked-in BENCH_traffic.json whose p99_ns gates
-   the current run at 1.5x; it also takes --requests N (scaled runs on
-   sharded Zipf arrivals; past 50k requests the run must be paired with
-   --domains D > 1, which executes it on the domain-sharded parallel
-   engine). The multiactive section (serialized vs
-   compatibility-annotated shards under read-heavy load) accepts
-   --baseline FILE with a BENCH_multiactive.json whose
-   knee_multiactive_rps must not regress. The parallel section measures
-   the domain-sharded engine against the sequential loop at 1/2/4/8
-   domains, gates on identical Timeline hashes across all counts (and
-   against a --baseline BENCH_parallel_baseline.json), and on >= 1.5x
-   wall-clock speedup at 4 domains when the host has >= 4 cores; it
-   also emits per-feature envelope rows (faults / coalesce / recover
-   under domains). The faults, coalesce, and recover sections accept
-   --domains D: with D > 1 each re-runs its hostile workload on the
-   domain-sharded engine at 1 and D domains and gates on identical
-   Timeline hashes plus the feature's own invariants (exactly-once
-   delivery, batches formed, restarts = crashes with bounded
-   recovery).
+   Sections, run in this order whatever order they are named in (default
+   all):
+     table1 table2 table3 table4 fig5 fig6 ablations   the paper
+     faults       N-queens under drop/duplication, and a crash window
+     migrate      hot-spot rebalancing and affinity
+     dgc          churn steady-state memory, migrated-object reclamation
+     coalesce     per-destination batching of bursty traffic
+     recover      crash recovery: kill nodes mid-burst, restore, replay
+     traffic      open-loop load against the sharded KV tier, rate sweep
+     multiactive  serialized vs compatibility-annotated shards
+     parallel     the domain-sharded engine against the sequential loop
+     explore      the schedule explorer (a checker: only run when named,
+                  never under "all")
 
-   The schedule explorer is a checker, not a benchmark, and never runs
-   under "all" — ask for it by name:
+   Flags:
+     --full          paper scale (N=13, 512 nodes) for table4/fig5/fig6;
+                     without it the harness caps at N<=11
+     --smoke         CI scale for the layer sections and the explorer
+     --domains D     faults, coalesce, recover: with D > 1 also re-run the
+                     hostile burst on D domains and gate on an identical
+                     Timeline hash plus the feature's invariants; parallel:
+                     the domain count of its envelope rows (default 4)
+     --baseline F    traffic: p99_ns may not exceed 1.5x F's; multiactive:
+                     knee_multiactive_rps may not fall below F's; parallel:
+                     Timeline hashes must equal F's
+     explore only:   --schedules N  --seed N  --workload NAME  --out DIR
+                     --replay FILE  (re-executes a reproducer twice and
+                     asserts the runs are bit-identical)
 
-     dune exec bench/main.exe -- explore [--smoke] [--schedules N]
-       [--seed N] [--workload NAME] [--out DIR] [--replay FILE]
-
-   It sweeps recorded schedules across the check workloads with the
-   invariant monitor armed, shrinks failures to minimal reproducer
-   files, and exits nonzero on any violation; --replay re-executes a
-   reproducer twice and asserts the runs are bit-identical. *)
+   Each layer section writes BENCH_<section>.json and exits nonzero on
+   any failed gate. *)
 
 open Core
 
 let header title = Format.printf "@.=== %s ===@." title
 let cost = Machine.Cost_model.default
 
+(* Every gate fails the same way: one FAILED line, exit status 1. *)
+let fail fmt =
+  Format.kasprintf
+    (fun s ->
+      Format.printf "FAILED %s@." s;
+      exit 1)
+    fmt
+
 (* Host-side perf triple for the section artifacts: each JSON-emitting
    section brackets itself with [section_start], feeds every system (or
    bare machine) it simulated to [note_events] / [note_machine_events],
-   and appends [perf_fields ()] to its field list — so CI can trend
+   and [emit] appends the triple to its fields — so CI can trend
    simulator throughput uniformly across sections. Wall clock, not CPU
    time: the parallel section's whole point is wall-clock speedup. *)
 let section_t0 = ref 0.
@@ -64,10 +67,13 @@ let note_machine_events m =
 
 let note_events sys = note_machine_events (System.machine sys)
 
-let perf_fields ?(domains = 1) () =
-  Services.Bench_json.perf_fields
-    ~wall_clock_s:(Unix.gettimeofday () -. !section_t0)
-    ~events:!section_events ~domains
+let emit ?(domains = 1) path fields =
+  Services.Bench_json.write ~path
+    (fields
+    @ Services.Bench_json.perf_fields
+        ~wall_clock_s:(Unix.gettimeofday () -. !section_t0)
+        ~events:!section_events ~domains);
+  Format.printf "metrics written to %s@." path
 
 (* One layer's counters, read from the machine's single Stats registry:
    counters are named "<layer>.<event>", so a name prefix selects a
@@ -82,6 +88,41 @@ let print_counters stats prefix =
     (Format.pp_print_list ~pp_sep:Format.pp_print_space (fun ppf (k, v) ->
          Format.fprintf ppf "%s=%d" k v))
     rows
+
+(* Record a run of the check workload [wl] at [seed], replay its
+   choice vector, and require a bit-identical Timeline hash and, unless
+   [allow_failing], a clean run. [show] prints record hash, replay hash
+   and verdict. Returns the recorded hash. *)
+let replay_gate ?(allow_failing = false) ~show (wl : Check.Workloads.t) ~seed =
+  let module E = Check.Explore in
+  let o = E.run_recorded wl ~seed in
+  let rp = E.replay wl o.E.o_trace in
+  let h = rp.E.rp_outcome.E.o_hash in
+  let ok =
+    rp.E.rp_identical
+    && (Option.is_some o.E.o_crash || h = o.E.o_hash)
+    && (allow_failing || not (E.failed o))
+  in
+  show o.E.o_hash h ok;
+  if not ok then fail "%s replay gate" wl.Check.Workloads.w_name;
+  o.E.o_hash
+
+let determinism ?(label = "") recorded replayed ok =
+  Format.printf "%sdeterminism: record %016x replay %016x %s@." label recorded
+    replayed
+    (if ok then "ok" else "MISMATCH")
+
+let workload name = Option.get (Check.Workloads.find name)
+
+(* Compare against the integer [key] of a checked-in baseline: [check]
+   prints the comparison and says whether it passes. A missing key fails
+   the gate, unless [skip_missing]. *)
+let baseline_gate ?(skip_missing = false) ~path ~key ~what check =
+  match Services.Bench_json.read_int_field ~path ~key with
+  | None when skip_missing ->
+      Format.printf "baseline has no %s — %s gate skipped@." key what
+  | None -> fail "baseline %s has no %s" path key
+  | Some want -> if not (check want) then fail "%s gate" what
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: costs of basic operations                                  *)
@@ -354,8 +395,6 @@ let fault_config plan =
 (* recovery under the domain-sharded engine                            *)
 (* ------------------------------------------------------------------ *)
 
-type Machine.Am.payload += Pe_seq of { k : int }
-
 type envelope_feature = Env_faults | Env_coalesce | Env_recover
 
 let envelope_feature_name = function
@@ -382,12 +421,10 @@ type envelope_result = {
    (node s -> s+3) under a lossy, duplicating, jittering fabric, plus
    the feature's own machinery (framed batches, scripted crash windows
    with the recovery manager attached). Every construct is
-   parallel-safe: timers are node-owned and post to their own node,
-   sent counters are per-source (a single writing domain each), and
-   receive-side state lives in per-node tables covered by the recovery
-   snapshot. [source] supplies the node-keyed decision streams, so a
-   recorded sharded schedule replays the run bit-identically at any
-   domain count. *)
+   parallel-safe: timers are node-owned and post to their own node, and
+   the burst's tables are per node. [source] supplies the node-keyed
+   decision streams, so a recorded sharded schedule replays the run
+   bit-identically at any domain count. *)
 let envelope_burst ~feature ~rounds ~burst ~domains ~source () =
   let module Engine = Machine.Engine in
   let nodes = 8 in
@@ -410,117 +447,65 @@ let envelope_burst ~feature ~rounds ~burst ~domains ~source () =
   let m = Engine.create ~config ~nodes () in
   Engine.set_node_decision_source m (Some source);
   let tl = Services.Timeline.attach_machine m in
-  let next = Array.init nodes (fun _ -> Hashtbl.create 16) in
-  let h =
-    Engine.register_handler m Machine.Am.Service ~name:"envelope-seq"
-      (fun _ node am ->
-        match am.Machine.Am.payload with
-        | Pe_seq { k } ->
-            let me = Machine.Node.id node in
-            let src = am.Machine.Am.src in
-            let e = Option.value (Hashtbl.find_opt next.(me) src) ~default:0 in
-            Hashtbl.replace next.(me) src (max (k + 1) e)
-        | _ -> ())
+  let sq = Check.Harness.seq m in
+  let crash node at =
+    {
+      Recover.Manager.cs_node = node;
+      cs_at = at;
+      cs_down_ns = 30_000;
+      cs_jitter_ns = 1_000;
+    }
   in
   let crashes =
     match feature with
-    | Env_recover ->
-        [
-          {
-            Recover.Manager.cs_node = 3;
-            cs_at = 40_000;
-            cs_down_ns = 30_000;
-            cs_jitter_ns = 1_000;
-          };
-          {
-            Recover.Manager.cs_node = 5;
-            cs_at = 95_000;
-            cs_down_ns = 30_000;
-            cs_jitter_ns = 1_000;
-          };
-        ]
+    | Env_recover -> [ crash 3 40_000; crash 5 95_000 ]
     | _ -> []
   in
   let mgr =
     match feature with
     | Env_recover ->
-        let app =
-          {
-            Recover.Manager.a_snapshot =
-              (fun node ->
-                let slice =
-                  Hashtbl.fold (fun s k acc -> (s, k) :: acc) next.(node) []
-                in
-                Some (Marshal.to_bytes (List.sort compare slice) []));
-            a_restore =
-              (fun node b ->
-                Hashtbl.reset next.(node);
-                List.iter
-                  (fun (s, k) -> Hashtbl.replace next.(node) s k)
-                  (Marshal.from_bytes b 0 : (int * int) list));
-            a_reset = (fun node -> Hashtbl.reset next.(node));
-          }
-        in
-        Some (Recover.Manager.attach m ~app ~crashes ())
+        Some
+          (Recover.Manager.attach m ~app:(Check.Harness.recovery_app sq)
+             ~crashes ())
     | _ -> None
   in
-  (* Sent counters tick at actual send time inside the owning node's
-     thunk, so bursts skipped on a down sender never count as sent. *)
-  let sent = Array.make (nodes * nodes) 0 in
-  for s = 0 to nodes - 1 do
+  for src = 0 to nodes - 1 do
     for r = 0 to rounds - 1 do
-      Engine.schedule_on m ~node:s ~time:(12_000 + (r * 20_000)) (fun () ->
-          if not (Engine.node_down m s) then
-            Engine.post m (Engine.node m s) (fun () ->
-                let src = Engine.node m s in
-                let dst = (s + 3) mod nodes in
-                let key = (s * nodes) + dst in
-                for _ = 1 to burst do
-                  Engine.send_am m ~src ~dst ~handler:h ~size_bytes:16
-                    (Pe_seq { k = sent.(key) });
-                  sent.(key) <- sent.(key) + 1
-                done))
+      Engine.schedule_on m ~node:src ~time:(12_000 + (r * 20_000)) (fun () ->
+          if not (Engine.node_down m src) then
+            Engine.post m (Engine.node m src) (fun () ->
+                Check.Harness.send_burst sq ~src ~dst:((src + 3) mod nodes)
+                  ~burst ~size_bytes:16))
     done
   done;
   Engine.run_parallel m ~domains ();
   note_machine_events m;
   let hash = Services.Timeline.hash tl in
   Services.Timeline.detach tl;
-  let lost = ref 0 and dup = ref 0 and total_sent = ref 0 in
-  for s = 0 to nodes - 1 do
-    for d = 0 to nodes - 1 do
-      let k = sent.((s * nodes) + d) in
-      if k > 0 then begin
-        total_sent := !total_sent + k;
-        let got = Option.value (Hashtbl.find_opt next.(d) s) ~default:0 in
-        if got < k then lost := !lost + (k - got);
-        if got > k then incr dup
-      end
-    done
-  done;
+  let v = Check.Harness.verdict sq in
   let st = Engine.stats m in
   let batches =
     match Engine.coalesce_stats m with
     | Some s -> s.Machine.Coalesce.s_batches
     | None -> 0
   in
-  let audit =
-    match mgr with Some g -> Recover.Manager.audit_quiescent g | None -> []
+  let audit, recovery_max =
+    match mgr with
+    | Some g ->
+        ( Recover.Manager.audit_quiescent g,
+          List.fold_left
+            (fun acc cs ->
+              max acc
+                (Recover.Manager.recovery_ns g cs.Recover.Manager.cs_node))
+            0 crashes )
+    | None -> ([], 0)
   in
-  let recovery_max =
-    List.fold_left
-      (fun acc cs ->
-        match mgr with
-        | Some g -> max acc (Recover.Manager.recovery_ns g cs.Recover.Manager.cs_node)
-        | None -> acc)
-      0 crashes
-  in
-  (match mgr with Some g -> Recover.Manager.detach g | None -> ());
+  Option.iter Recover.Manager.detach mgr;
   {
     e_hash = hash;
-    e_sent = !total_sent;
-    e_lost = !lost;
-    e_dup = !dup;
+    e_sent = v.Check.Harness.sent;
+    e_lost = v.Check.Harness.lost;
+    e_dup = v.Check.Harness.dup;
     e_in_flight = Engine.reliable_in_flight m;
     e_retransmits = Simcore.Stats.get st "reliable.retransmit";
     e_drops = Engine.packets_dropped m;
@@ -576,10 +561,7 @@ let envelope_section ~feature ~smoke ~domains () =
         (float_of_int rd.e_recovery_max /. 1000.)
   | _ -> ());
   List.iter (fun v -> Format.printf "AUDIT %s@." v) (r1.e_audit @ rd.e_audit);
-  let fail msg =
-    Format.printf "FAILED parallel envelope (%s): %s@." name msg;
-    exit 1
-  in
+  let fail msg = fail "parallel envelope (%s): %s" name msg in
   if rd.e_hash <> r1.e_hash then
     fail "Timeline hash differs across domain counts";
   if r1.e_sent <> rd.e_sent then
@@ -690,7 +672,7 @@ let faults ~smoke ~domains () =
       snd (envelope_section ~feature:Env_faults ~smoke ~domains ())
     else []
   in
-  Services.Bench_json.write ~path:"BENCH_faults.json"
+  emit "BENCH_faults.json"
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
@@ -705,8 +687,7 @@ let faults ~smoke ~domains () =
          ("crash_elapsed_ns", Int r.Apps.Nqueens_par.elapsed);
          ("crash_clean", Bool clean);
        ]
-    @ env_fields @ perf_fields ());
-  Format.printf "metrics written to BENCH_faults.json@."
+    @ env_fields)
 
 (* ------------------------------------------------------------------ *)
 (* Migration: hot-spot rebalancing and affinity                        *)
@@ -825,10 +806,7 @@ let migrate_bench ~smoke () =
   Format.printf
     "load-threshold speedup %.2fx over the skewed baseline (gate: >= 2x), steady-state chain %d (gate: <= 1)@."
     speedup chain;
-  if speedup < 2.0 || chain > 1 then begin
-    Format.printf "FAILED hot-spot gate@.";
-    exit 1
-  end;
+  if speedup < 2.0 || chain > 1 then fail "hot-spot gate";
 
   header "Migration: affinity payoff (8 ping-pong pairs, 16 nodes)";
   (* Eight latency-bound request/reply pairs, each split across the
@@ -910,7 +888,7 @@ let migrate_bench ~smoke () =
   in
   Format.printf "affinity cut elapsed by %.1f%%@."
     (100. *. float_of_int (base - aff) /. float_of_int base);
-  Services.Bench_json.write ~path:"BENCH_migrate.json"
+  emit "BENCH_migrate.json"
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
@@ -920,9 +898,7 @@ let migrate_bench ~smoke () =
          ("affinity_pull_ns", Int aff);
          ( "affinity_improvement_pct",
            Float (100. *. float_of_int (base - aff) /. float_of_int base) );
-       ]
-    @ perf_fields ());
-  Format.printf "metrics written to BENCH_migrate.json@."
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Distributed GC: churn steady state and migrated-object reclamation  *)
@@ -1050,18 +1026,10 @@ let dgc_bench ~smoke () =
     "steady-state gate: resident %d <= 2x live %d; unmanaged growth %d >= \
      cycles %d@."
     resident (2 * live) resident_off cycles;
-  if resident > 2 * live then begin
-    Format.printf "FAILED steady-state memory gate@.";
-    exit 1
-  end;
-  if (not monotonic) || resident_off < cycles then begin
-    Format.printf "FAILED unmanaged-growth control gate@.";
-    exit 1
-  end;
-  if recycled = 0 || Dgc.restocked g = 0 then begin
-    Format.printf "FAILED slot-recycling gate@.";
-    exit 1
-  end;
+  if resident > 2 * live then fail "steady-state memory gate";
+  if (not monotonic) || resident_off < cycles then
+    fail "unmanaged-growth control gate";
+  if recycled = 0 || Dgc.restocked g = 0 then fail "slot-recycling gate";
 
   header "Distributed GC: migrated-then-dropped reclamation";
   let cells = if smoke then 12 else 48 in
@@ -1103,21 +1071,16 @@ let dgc_bench ~smoke () =
     "%d cell(s) spawned, %d migrated, then dropped: %d recall(s), %d \
      unstub(s), %d forwarding stub(s) left (diagnostics sees %d)@."
     cells !moved (Dgc.recalls g) (Dgc.unstubs g) !stubs_left stubs_in_survey;
-  if !stubs_left <> 0 || stubs_in_survey <> 0 then begin
-    Format.printf "FAILED forwarding-stub reclamation gate@.";
-    exit 1
-  end;
-  if !moved = 0 || Dgc.unstubs g = 0 then begin
-    Format.printf "FAILED migration coverage gate (workload too tame)@.";
-    exit 1
-  end;
+  if !stubs_left <> 0 || stubs_in_survey <> 0 then
+    fail "forwarding-stub reclamation gate";
+  if !moved = 0 || Dgc.unstubs g = 0 then
+    fail "migration coverage gate (workload too tame)";
   (match Dgc.audit g with
   | [] -> Format.printf "weight audit: balanced@."
   | problems ->
       List.iter (fun p -> Format.printf "audit: %s@." p) problems;
-      Format.printf "FAILED weight-conservation audit@.";
-      exit 1);
-  Services.Bench_json.write ~path:"BENCH_dgc.json"
+      fail "weight-conservation audit");
+  emit "BENCH_dgc.json"
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
@@ -1129,9 +1092,7 @@ let dgc_bench ~smoke () =
          ("cells_migrated", Int !moved);
          ("recalls", Int (Dgc.recalls g));
          ("unstubs", Int (Dgc.unstubs g));
-       ]
-    @ perf_fields ());
-  Format.printf "metrics written to BENCH_dgc.json@."
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* Aggregation: per-destination batching of bursty traffic             *)
@@ -1213,10 +1174,8 @@ let coalesce_bench ~smoke ~domains () =
   let m_off, n_off, lat_off = off and m_on, n_on, lat_on = on in
   note_machine_events m_off;
   note_machine_events m_on;
-  if n_off <> expected || n_on <> expected then begin
-    Format.printf "FAILED delivery-count gate (expected %d)@." expected;
-    exit 1
-  end;
+  if n_off <> expected || n_on <> expected then
+    fail "delivery-count gate (expected %d)" expected;
   let p_off = Machine.Engine.packets_sent m_off
   and p_on = Machine.Engine.packets_sent m_on in
   (match Machine.Engine.coalesce_stats m_on with
@@ -1234,14 +1193,8 @@ let coalesce_bench ~smoke ~domains () =
      (gate: lower)@."
     (float_of_int p_off /. float_of_int (max 1 p_on))
     lat_off lat_on;
-  if p_off < 2 * p_on then begin
-    Format.printf "FAILED packet-reduction gate@.";
-    exit 1
-  end;
-  if lat_on >= lat_off then begin
-    Format.printf "FAILED mean-latency gate@.";
-    exit 1
-  end;
+  if p_off < 2 * p_on then fail "packet-reduction gate";
+  if lat_on >= lat_off then fail "mean-latency gate";
 
   (* Same burst under a lossy fabric: whole batches share a fate, the
      reliable layer re-sequences their frames, and delivery must still
@@ -1266,10 +1219,8 @@ let coalesce_bench ~smoke ~domains () =
     (Machine.Engine.packets_dropped m_f)
     !acks_piggy
     (Machine.Engine.reliable_in_flight m_f);
-  if n_f <> expected || Machine.Engine.reliable_in_flight m_f <> 0 then begin
-    Format.printf "FAILED exactly-once-under-faults gate@.";
-    exit 1
-  end;
+  if n_f <> expected || Machine.Engine.reliable_in_flight m_f <> 0 then
+    fail "exactly-once-under-faults gate";
 
   (* The bypass invariant: with aggregation enabled but traffic spaced
      (every app workload — sends cost setup instructions that outpace
@@ -1297,16 +1248,14 @@ let coalesce_bench ~smoke ~domains () =
     d_dorm
     (with_coal.inter_latency_ns /. 1000.)
     d_inter;
-  if Float.abs d_dorm > 5. || Float.abs d_inter > 5. then begin
-    Format.printf "FAILED Table-1 preservation gate@.";
-    exit 1
-  end;
+  if Float.abs d_dorm > 5. || Float.abs d_inter > 5. then
+    fail "Table-1 preservation gate";
   let env_fields =
     if domains > 1 then
       snd (envelope_section ~feature:Env_coalesce ~smoke ~domains ())
     else []
   in
-  Services.Bench_json.write ~path:"BENCH_coalesce.json"
+  emit "BENCH_coalesce.json"
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
@@ -1323,142 +1272,61 @@ let coalesce_bench ~smoke ~domains () =
          ("table1_dormant_dev_pct", Float d_dorm);
          ("table1_inter_dev_pct", Float d_inter);
        ]
-    @ env_fields @ perf_fields ());
-  Format.printf "metrics written to BENCH_coalesce.json@."
+    @ env_fields)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: kill a node mid-burst, restore, replay              *)
 (* ------------------------------------------------------------------ *)
 
-type Machine.Am.payload += Rb_seq of { k : int }
-
-(* Sequenced bursts from three senders into fixed destinations on a raw
-   engine with the recovery manager attached; [crash] names the victims
-   and instants. Returns everything the gates need. *)
-let recover_burst ~rounds ~burst ~crashes () =
-  let module Engine = Machine.Engine in
-  let plan = Network.Faults.plan ~seed:11 ~drop:0.01 ~duplicate:0.0 ~jitter_ns:500 () in
-  let config = { Engine.default_config with Engine.faults = Some plan } in
-  let nodes = 8 in
-  let m = Engine.create ~config ~nodes () in
-  let tl = Services.Timeline.attach_machine m in
-  let next = Array.init nodes (fun _ -> Hashtbl.create 16) in
-  let last_rx = Array.make nodes 0 in
-  let max_gap = Array.make nodes 0 in
-  let lost = ref 0 and dup_or_reorder = ref 0 in
-  let h =
-    Engine.register_handler m Machine.Am.Service ~name:"recover-seq"
-      (fun _ node am ->
-        match am.Machine.Am.payload with
-        | Rb_seq { k } ->
-            let me = Machine.Node.id node in
-            let src = am.Machine.Am.src in
-            let now = Machine.Node.now node in
-            if last_rx.(me) > 0 then
-              max_gap.(me) <- max max_gap.(me) (now - last_rx.(me));
-            last_rx.(me) <- now;
-            let e = Option.value (Hashtbl.find_opt next.(me) src) ~default:0 in
-            if k <> e then incr dup_or_reorder;
-            Hashtbl.replace next.(me) src (max (k + 1) e)
-        | _ -> ())
-  in
-  let app =
-    {
-      Recover.Manager.a_snapshot =
-        (fun node ->
-          let slice =
-            Hashtbl.fold (fun s k acc -> (s, k) :: acc) next.(node) []
-          in
-          Some (Marshal.to_bytes (List.sort compare slice) []));
-      a_restore =
-        (fun node b ->
-          Hashtbl.reset next.(node);
-          List.iter
-            (fun (s, k) -> Hashtbl.replace next.(node) s k)
-            (Marshal.from_bytes b 0 : (int * int) list));
-      a_reset = (fun node -> Hashtbl.reset next.(node));
-    }
-  in
-  let mgr = Recover.Manager.attach m ~app ~crashes () in
-  let senders = 3 and dests = 2 in
-  let sent = Hashtbl.create 16 in
-  for r = 0 to rounds - 1 do
-    Engine.schedule_at m ~time:(10_000 + (r * 40_000)) (fun () ->
-        for s = 0 to senders - 1 do
-          let src = Engine.node m s in
-          Engine.post m src (fun () ->
-              for d = 1 to dests do
-                let dst = (s + (d * 3)) mod nodes in
-                for _ = 1 to burst do
-                  let ch = (s, dst) in
-                  let k = Option.value (Hashtbl.find_opt sent ch) ~default:0 in
-                  Hashtbl.replace sent ch (k + 1);
-                  Engine.send_am m ~src ~dst ~handler:h ~size_bytes:8
-                    (Rb_seq { k })
-                done
-              done)
-        done)
-  done;
-  Engine.run m;
-  Hashtbl.iter
-    (fun (s, d) k ->
-      let got = Option.value (Hashtbl.find_opt next.(d) s) ~default:0 in
-      if got < k then lost := !lost + (k - got);
-      if got > k then incr dup_or_reorder)
-    sent;
-  (m, tl, mgr, !lost, !dup_or_reorder, max_gap)
-
 let recover_bench ~smoke ~domains () =
   header "Crash recovery: kill a node mid-burst, restore, replay";
   section_start ();
   let module Engine = Machine.Engine in
-  let rounds = if smoke then 3 else 6 in
-  let burst = 16 in
-  let down_ns = 40_000 in
-  let crashes =
+  let module H = Check.Harness in
+  (* Sequenced bursts from three senders into fixed destinations on a
+     raw engine with the recovery manager attached. *)
+  let crash node at =
     {
-      Recover.Manager.cs_node = 3;
-      cs_at = 30_000;
-      cs_down_ns = down_ns;
+      Recover.Manager.cs_node = node;
+      cs_at = at;
+      cs_down_ns = 40_000;
       cs_jitter_ns = 0;
     }
-    :: {
-         Recover.Manager.cs_node = 6;
-         cs_at = 65_000;
-         cs_down_ns = down_ns;
-         cs_jitter_ns = 0;
-       }
-    ::
-    (if smoke then []
-     else
-       [
-         (* Full scale also kills a sender mid-burst. *)
-         {
-           Recover.Manager.cs_node = 1;
-           cs_at = 120_000;
-           cs_down_ns = down_ns;
-           cs_jitter_ns = 0;
-         };
-       ])
   in
-  let m, tl, mgr, lost, dup, max_gap = recover_burst ~rounds ~burst ~crashes () in
+  let crashes =
+    crash 3 30_000 :: crash 6 65_000
+    :: (* Full scale also kills a sender mid-burst. *)
+       (if smoke then [] else [ crash 1 120_000 ])
+  in
+  let plan =
+    Network.Faults.plan ~seed:11 ~drop:0.01 ~duplicate:0.0 ~jitter_ns:500 ()
+  in
+  let m =
+    Engine.create
+      ~config:{ Engine.default_config with Engine.faults = Some plan }
+      ~nodes:8 ()
+  in
+  let tl = Services.Timeline.attach_machine m in
+  let sq = H.seq m in
+  let mgr = Recover.Manager.attach m ~app:(H.recovery_app sq) ~crashes () in
+  H.send_rounds sq ~rounds:(if smoke then 3 else 6) ~start:10_000 ~burst:16;
+  Engine.run m;
   note_machine_events m;
+  let v = H.verdict sq in
+  let lost = v.H.lost and dup = v.H.dup + v.H.reordered in
   let audit = Recover.Manager.audit_quiescent mgr in
   let get = Simcore.Stats.get (Engine.stats m) in
   print_counters (Engine.stats m) "recover.";
   Format.printf "%d packet(s) lost to down windows@." (Engine.crash_dropped m);
   let crashed = List.map (fun cs -> cs.Recover.Manager.cs_node) crashes in
-  let outage =
-    List.fold_left (fun acc i -> max acc max_gap.(i)) 0 crashed
-  in
+  let worst nodes f = List.fold_left (fun acc i -> max acc (f i)) 0 nodes in
+  let outage = worst crashed (H.max_gap sq) in
   let baseline =
-    let b = ref 0 in
-    Array.iteri (fun i g -> if not (List.mem i crashed) then b := max !b g) max_gap;
-    !b
+    worst
+      (List.filter (fun i -> not (List.mem i crashed)) (List.init 8 Fun.id))
+      (H.max_gap sq)
   in
-  let recovery_max =
-    List.fold_left (fun acc i -> max acc (Recover.Manager.recovery_ns mgr i)) 0 crashed
-  in
+  let recovery_max = worst crashed (Recover.Manager.recovery_ns mgr) in
   Format.printf
     "lost %d, duplicated/reordered %d (gate: both 0); in flight %d@." lost dup
     (Engine.reliable_in_flight m);
@@ -1467,138 +1335,36 @@ let recover_bench ~smoke ~domains () =
      nodes vs %d ns baseline (gate: <= 8 ms)@."
     recovery_max outage baseline;
   List.iter (fun v -> Format.printf "AUDIT %s@." v) audit;
-  if lost > 0 || dup > 0 then begin
-    Format.printf "FAILED zero-lost/zero-duplicate gate@.";
-    exit 1
-  end;
-  if Engine.reliable_in_flight m <> 0 then begin
-    Format.printf "FAILED in-flight-drained gate@.";
-    exit 1
-  end;
-  if audit <> [] then begin
-    Format.printf "FAILED recovery-audit gate@.";
-    exit 1
-  end;
-  if get "recover.restarts" <> List.length crashes then begin
-    Format.printf "FAILED restart-count gate@.";
-    exit 1
-  end;
-  if recovery_max > 2_000_000 then begin
-    Format.printf "FAILED bounded-recovery-time gate@.";
-    exit 1
-  end;
-  if outage > 8_000_000 then begin
-    Format.printf "FAILED delivery-outage gate@.";
-    exit 1
-  end;
+  if lost > 0 || dup > 0 then fail "zero-lost/zero-duplicate gate";
+  if Engine.reliable_in_flight m <> 0 then fail "in-flight-drained gate";
+  if audit <> [] then fail "recovery-audit gate";
+  if get "recover.restarts" <> List.length crashes then
+    fail "restart-count gate";
+  if recovery_max > 2_000_000 then fail "bounded-recovery-time gate";
+  if outage > 8_000_000 then fail "delivery-outage gate";
 
   (* Deterministic replay: a recorded schedule of the recover workload
      (crash instants re-timed through recorded decision points) must
      replay to a bit-identical Timeline hash. *)
-  let wl = Option.get (Check.Workloads.find "recover") in
-  let o = Check.Explore.run_recorded wl ~seed:3 in
-  let r = Check.Explore.replay wl o.Check.Explore.o_trace in
-  let identical =
-    r.Check.Explore.rp_identical
-    && r.Check.Explore.rp_outcome.Check.Explore.o_hash
-       = o.Check.Explore.o_hash
-  in
-  Format.printf "recorded crash schedule replay: %016x / %016x %s@."
-    o.Check.Explore.o_hash r.Check.Explore.rp_outcome.Check.Explore.o_hash
-    (if identical then "identical" else "MISMATCH");
-  if not identical then begin
-    Format.printf "FAILED deterministic-replay gate@.";
-    exit 1
-  end;
+  ignore
+    (replay_gate (workload "recover") ~seed:3 ~show:(fun a b ok ->
+         Format.printf "recorded crash schedule replay: %016x / %016x %s@." a
+           b
+           (if ok then "identical" else "MISMATCH")));
 
   (* System-level composition: migration stream + DGC churn while a
      node's interface goes dark twice (network-down windows — the
      runtime keeps computing, the fabric drops its packets), with the
      location re-advertisement repair at each recovery point. *)
-  let stream_result = ref None in
-  let p_add = Pattern.intern "rb_add" ~arity:1 in
-  let p_report = Pattern.intern "rb_report" ~arity:0 in
-  let p_next = Pattern.intern "rb_next" ~arity:0 in
-  let p_poke = Pattern.intern "rb_poke" ~arity:1 in
-  let p_churn = Pattern.intern "rb_churn" ~arity:2 in
-  let cell =
-    Class_def.define ~name:"rb_cell" ~state:[| "hash"; "sum" |]
-      ~init:(fun _ -> [| Value.int 0; Value.int 0 |])
-      ~methods:
-        [
-          ( p_add,
-            fun ctx msg ->
-              let k = Value.to_int (Message.arg msg 0) in
-              Ctx.set ctx 0
-                (Value.int ((31 * Value.to_int (Ctx.get ctx 0)) + k));
-              Ctx.set ctx 1 (Value.int (Value.to_int (Ctx.get ctx 1) + k)) );
-          ( p_report,
-            fun ctx _ ->
-              stream_result :=
-                Some
-                  ( Value.to_int (Ctx.get ctx 0),
-                    Value.to_int (Ctx.get ctx 1) ) );
-        ]
-      ()
-  in
-  let driver =
-    Class_def.define ~name:"rb_driver" ~state:[| "target"; "i"; "count" |]
-      ~init:(fun args ->
-        match args with
-        | [ target; count ] -> [| target; Value.int 1; count |]
-        | _ -> invalid_arg "rb_driver")
-      ~methods:
-        [
-          ( p_next,
-            fun ctx _ ->
-              let target =
-                match Ctx.get ctx 0 with Value.Addr a -> a | _ -> assert false
-              in
-              let i = Value.to_int (Ctx.get ctx 1) in
-              let count = Value.to_int (Ctx.get ctx 2) in
-              if i <= count then begin
-                Ctx.send ctx target p_add [ Value.int i ];
-                Ctx.set ctx 1 (Value.int (i + 1));
-                Ctx.send ctx (Ctx.self ctx) p_next []
-              end
-              else Ctx.send ctx target p_report [] );
-        ]
-      ()
-  in
-  let gcell =
-    Class_def.define ~name:"rb_gcell" ~state:[| "v" |]
-      ~init:(fun _ -> [| Value.int 0 |])
-      ~methods:[ (p_poke, fun ctx msg -> Ctx.set ctx 0 (Message.arg msg 0)) ]
-      ()
-  in
-  let churner =
-    Class_def.define ~name:"rb_churner" ~state:[| "ref" |]
-      ~init:(fun _ -> [| Value.unit |])
-      ~methods:
-        [
-          ( p_churn,
-            fun ctx msg ->
-              let i = Value.to_int (Message.arg msg 0) in
-              let n = Value.to_int (Message.arg msg 1) in
-              if i < n then begin
-                let p = Ctx.node_count ctx in
-                let target = (Ctx.node_id ctx + 1 + (i mod (p - 1))) mod p in
-                let a = Ctx.create_on ctx ~target gcell [] in
-                Ctx.send ctx a p_poke [ Value.int i ];
-                Ctx.set ctx 0 (Value.Addr a);
-                Ctx.send ctx (Ctx.self ctx) p_churn
-                  [ Value.int (i + 1); Value.int n ]
-              end );
-        ]
-      ()
-  in
+  let st = H.stream ~prefix:"rb_" and ch = H.churn ~prefix:"rb_" in
   let plan = Network.Faults.plan ~seed:5 ~drop:0.02 ~duplicate:0.0 () in
   let machine_config =
     { Engine.default_config with Engine.faults = Some plan }
   in
   let sys =
     System.boot ~machine_config ~nodes:4
-      ~classes:[ cell; driver; gcell; churner ] ()
+      ~classes:[ st.H.cell; st.H.driver; ch.H.gcell; ch.H.churner ]
+      ()
   in
   let machine = System.machine sys in
   let dark = 2 in
@@ -1614,11 +1380,7 @@ let recover_bench ~smoke ~domains () =
   let mig = Migrate.attach sys in
   let g = Dgc.attach ~interval_ns:120_000 sys in
   let count = if smoke then 36 else 96 in
-  let cell_addr = System.create_root sys ~node:0 cell [] in
-  let d =
-    System.create_root sys ~node:1 driver
-      [ Value.Addr cell_addr; Value.int count ]
-  in
+  let cell_addr, d = H.place_stream st sys ~count in
   (* Park the stream's target on the dark node before the first window,
      move it away between the windows, and repair locations at each
      recovery point. *)
@@ -1633,25 +1395,12 @@ let recover_bench ~smoke ~domains () =
         (fun () ->
           readvertised := !readvertised + Migrate.readvertise mig ~node:dark))
     windows;
-  for node = 0 to 3 do
-    let c = System.create_root sys ~node churner [] in
-    System.send_boot sys c p_churn [ Value.int 0; Value.int (if smoke then 16 else 32) ]
-  done;
-  System.send_boot sys d p_next [];
+  H.start_churn ch sys ~cycles:(if smoke then 16 else 32);
+  System.send_boot sys d st.H.start [];
   System.run sys;
   Dgc.settle g;
   note_events sys;
-  let want_hash, want_sum =
-    List.fold_left
-      (fun (h, s) k -> ((31 * h) + k, s + k))
-      (0, 0)
-      (List.init count (fun i -> i + 1))
-  in
-  let stream_ok =
-    match !stream_result with
-    | Some (h, s) -> h = want_hash && s = want_sum
-    | None -> false
-  in
+  let stream_ok = !(st.H.result) = Some (H.stream_expected ~count) in
   let dgc_audit = Dgc.audit g in
   let dgc_recovery =
     List.concat (List.init 4 (fun node -> Dgc.recovery_audit g ~node))
@@ -1670,84 +1419,68 @@ let recover_bench ~smoke ~domains () =
   if
     (not stream_ok) || dgc_audit <> [] || dgc_recovery <> [] || held <> 0
     || limbo <> 0
-  then begin
-    Format.printf "FAILED dark-interface composition gate@.";
-    exit 1
-  end;
+  then fail "dark-interface composition gate";
 
   let env_hash =
     if domains > 1 then
-      Some (fst (envelope_section ~feature:Env_recover ~smoke ~domains ()))
-    else None
+      Printf.sprintf "%016x"
+        (fst (envelope_section ~feature:Env_recover ~smoke ~domains ()))
+    else ""
   in
-
-  (* Metrics file for CI artifacts. *)
-  let wall = Unix.gettimeofday () -. !section_t0 in
-  let oc = open_out "BENCH_recover.json" in
-  Printf.fprintf oc
-    "{\n\
-    \  \"smoke\": %b,\n\
-    \  \"crashes\": %d,\n\
-    \  \"restarts\": %d,\n\
-    \  \"checkpoints\": %d,\n\
-    \  \"checkpoint_bytes\": %d,\n\
-    \  \"messages_replayed\": %d,\n\
-    \  \"inbox_rebuilt\": %d,\n\
-    \  \"recovery_ns_max\": %d,\n\
-    \  \"recovery_ns_total\": %d,\n\
-    \  \"delivery_outage_ns\": %d,\n\
-    \  \"baseline_max_gap_ns\": %d,\n\
-    \  \"lost\": %d,\n\
-    \  \"duplicated\": %d,\n\
-    \  \"timeline_hash\": \"%016x\",\n\
-    \  \"replay_identical\": %b,\n\
-    \  \"envelope_hash\": \"%s\",\n\
-    \  \"wall_clock_s\": %.3f,\n\
-    \  \"events_per_sec\": %.3f,\n\
-    \  \"domains\": %d\n\
-     }\n"
-    smoke (get "recover.crashes") (get "recover.restarts")
-    (get "recover.ckpts") (get "recover.ckpt_bytes") (get "recover.replayed")
-    (get "recover.inbox_rebuilt") recovery_max (get "recover.recovery_ns")
-    outage baseline lost dup
-    (Services.Timeline.hash tl) identical
-    (match env_hash with
-    | Some h -> Printf.sprintf "%016x" h
-    | None -> "")
-    wall
-    (if wall > 0. then float_of_int !section_events /. wall else 0.)
-    domains;
-  close_out oc;
-  Format.printf "metrics written to BENCH_recover.json@."
+  emit ~domains "BENCH_recover.json"
+    Services.Bench_json.
+      [
+        ("smoke", Bool smoke);
+        ("crashes", Int (get "recover.crashes"));
+        ("restarts", Int (get "recover.restarts"));
+        ("checkpoints", Int (get "recover.ckpts"));
+        ("checkpoint_bytes", Int (get "recover.ckpt_bytes"));
+        ("messages_replayed", Int (get "recover.replayed"));
+        ("inbox_rebuilt", Int (get "recover.inbox_rebuilt"));
+        ("recovery_ns_max", Int recovery_max);
+        ("recovery_ns_total", Int (get "recover.recovery_ns"));
+        ("delivery_outage_ns", Int outage);
+        ("baseline_max_gap_ns", Int baseline);
+        ("lost", Int lost);
+        ("duplicated", Int dup);
+        ( "timeline_hash",
+          Str (Printf.sprintf "%016x" (Services.Timeline.hash tl)) );
+        (* the replay gate above exits unless the replay was identical *)
+        ("replay_identical", Bool true);
+        ("envelope_hash", Str env_hash);
+      ]
 
 (* ------------------------------------------------------------------ *)
 (* Open-loop traffic: sharded KV tier, latency percentiles, knee       *)
 (* ------------------------------------------------------------------ *)
 
-(* One open-loop run against a fresh tier: [rate] req/s of virtual time
-   for [requests] injections, optionally under a fault plan, with forced
-   shard moves riding engine timers, and with the distributed collector
-   attached. Returns the loadgen handle, the system, and the combined
-   audit lines. *)
-let traffic_run ?faults ?(moves = []) ?(with_dgc = false) ?(nodes = 8)
-    ?(shards = 8) ?(seed = 1) ?(multiactive = false) ?(ma_budget = 4)
-    ?(rt_config = System.default_rt_config) ?mix ?key_dist ~rate ~requests () =
-  let module Engine = Machine.Engine in
-  let machine_config =
-    match faults with
-    | None -> Engine.default_config
-    | Some plan -> { Engine.default_config with Engine.faults = Some plan }
-  in
-  let kv =
-    Apps.Kv_store.create ~shards ~keys_per_shard:16 ~mget_fan:3 ~multiactive
-      ~ma_budget ()
-  in
+(* The sharded KV tier on a fresh system, spawned and ready for load. *)
+let kv_boot ?machine_config ?rt_config ?multiactive ?ma_budget ~nodes ~shards
+    () =
+  let kv = Apps.Kv_store.create ~shards ?multiactive ?ma_budget () in
   let sys =
-    System.boot ~machine_config ~rt_config ~nodes
+    System.boot ?machine_config ?rt_config ~nodes
       ~classes:(Apps.Kv_store.classes kv) ()
   in
-  let machine = System.machine sys in
   Apps.Kv_store.spawn kv sys;
+  (kv, sys)
+
+(* One open-loop run against a fresh 8-shard tier: [rate] req/s of
+   virtual time for [requests] injections, optionally under a fault
+   plan, with forced shard moves riding engine timers, and with the
+   distributed collector attached. Returns the loadgen handle, the
+   system, and the combined audit lines. *)
+let traffic_run ?faults ?(moves = []) ?(with_dgc = false) ?(seed = 1)
+    ?multiactive ?ma_budget ?rt_config
+    ?(mix = Traffic.Loadgen.default_config.Traffic.Loadgen.mix) ~rate ~requests
+    () =
+  let module Engine = Machine.Engine in
+  let kv, sys =
+    kv_boot
+      ~machine_config:{ Engine.default_config with Engine.faults }
+      ?rt_config ?multiactive ?ma_budget ~nodes:8 ~shards:8 ()
+  in
+  let machine = System.machine sys in
   let mig = if moves = [] then None else Some (Migrate.attach sys) in
   let g =
     if with_dgc then Some (Dgc.attach ~interval_ns:150_000 sys) else None
@@ -1762,18 +1495,17 @@ let traffic_run ?faults ?(moves = []) ?(with_dgc = false) ?(nodes = 8)
                    ~to_)))
         moves
   | None -> ());
-  let cfg =
-    { Traffic.Loadgen.default_config with seed; rate_rps = rate; requests }
+  let lg =
+    Traffic.Loadgen.launch
+      {
+        Traffic.Loadgen.default_config with
+        seed;
+        rate_rps = rate;
+        requests;
+        mix;
+      }
+      sys kv
   in
-  let cfg =
-    match mix with None -> cfg | Some mix -> { cfg with Traffic.Loadgen.mix }
-  in
-  let cfg =
-    match key_dist with
-    | None -> cfg
-    | Some key_dist -> { cfg with Traffic.Loadgen.key_dist }
-  in
-  let lg = Traffic.Loadgen.launch cfg sys kv in
   System.run sys;
   Option.iter Dgc.settle g;
   note_events sys;
@@ -1783,56 +1515,55 @@ let traffic_run ?faults ?(moves = []) ?(with_dgc = false) ?(nodes = 8)
   in
   (lg, sys, audit)
 
-let traffic_bench ~smoke ~baseline ~requests_opt ~domains () =
+(* One rate sweep: [run rate] reports one open-loop run per rate.
+   Open-loop arrivals keep coming whether or not the shards keep up, so
+   past saturation the queues — and the measured tail — grow with the
+   run length instead of the service time. The knee is the first rate
+   where p99 leaves the sustainable band (3x the lowest rate's p99) or
+   goodput falls under 95% of offered; 0 if the whole sweep stays
+   sustainable. *)
+let knee_sweep rates run =
+  let p99_base = ref 0. and knee = ref 0 in
+  let rows =
+    List.map
+      (fun rate ->
+        let r = run rate in
+        if !p99_base = 0. then p99_base := r.Traffic.Report.r_p99_ns;
+        let frac = r.Traffic.Report.r_goodput_rps /. float_of_int rate in
+        if
+          !knee = 0
+          && (r.Traffic.Report.r_p99_ns > 3. *. !p99_base || frac < 0.95)
+        then knee := rate;
+        (rate, r))
+      rates
+  in
+  (rows, !knee)
+
+(* Exactly-once under faults: the version audit balances, the reliable
+   layer drained, the plan really dropped packets, nothing timed out. *)
+let faulted_gate ~what sys audit (r : Traffic.Report.t) =
+  let m = System.machine sys in
+  List.iter (fun v -> Format.printf "audit: %s@." v) audit;
+  if
+    audit <> []
+    || Machine.Engine.reliable_in_flight m <> 0
+    || Machine.Engine.packets_dropped m = 0
+    || r.Traffic.Report.r_timeouts <> 0
+  then fail "%s" what
+
+let traffic_bench ~smoke ~baseline () =
   let module Engine = Machine.Engine in
   header "Open-loop traffic: sharded KV/session tier (8 shards on 8 nodes)";
   section_start ();
-  let requests =
-    match requests_opt with
-    | Some r -> r
-    | None -> if smoke then 600 else 4_000
-  in
-  (* The 1M-request configuration (ROADMAP item 4) is only tractable on
-     the domain-sharded engine: the sequential loop's wall clock scales
-     with simulated traffic. *)
-  if requests > 50_000 && domains <= 1 then begin
-    Format.printf
-      "traffic: %d requests need the parallel engine — rerun with --domains \
-       2 (or more)@."
-      requests;
-    exit 1
-  end;
+  let requests = if smoke then 600 else 4_000 in
   (* The tier's measured capacity is ~110k req/s (8 shards x 200
      modelled instructions per op); 60k offered keeps the sustainable
      run well below the knee the sweep then finds. *)
   let base_rate = 60_000 in
 
   (* Sustainable-rate run: every injected request must complete with a
-     finite tail and no errors. With --requests/--domains the run scales
-     up on sharded Zipf arrivals (reusing the "traffic.key.zipf"
-     decision point) under the domain-sharded engine; the default path
-     is byte-identical to previous releases. *)
-  let lg, sys, audit =
-    if requests_opt <> None || domains > 1 then begin
-      let kv = Apps.Kv_store.create ~shards:8 ~keys_per_shard:16 ~mget_fan:3 () in
-      let sys = System.boot ~nodes:8 ~classes:(Apps.Kv_store.classes kv) () in
-      Apps.Kv_store.spawn kv sys;
-      let cfg =
-        {
-          Traffic.Loadgen.default_config with
-          rate_rps = base_rate;
-          requests;
-          key_dist = Traffic.Loadgen.Zipf 1.0;
-        }
-      in
-      let lg = Traffic.Loadgen.launch_sharded cfg sys kv in
-      if domains > 1 then System.run_parallel sys ~domains
-      else System.run sys;
-      note_events sys;
-      (lg, sys, Traffic.Loadgen.audit lg sys)
-    end
-    else traffic_run ~rate:base_rate ~requests ()
-  in
+     finite tail and no errors. *)
+  let lg, sys, audit = traffic_run ~rate:base_rate ~requests () in
   let r = Traffic.Report.of_run lg sys in
   Format.printf "@[<v>%a@]@." Traffic.Report.pp r;
   let clean = Diagnostics.is_clean (Diagnostics.survey sys) in
@@ -1841,10 +1572,7 @@ let traffic_bench ~smoke ~baseline ~requests_opt ~domains () =
     r.Traffic.Report.r_timeouts <> 0
     || r.Traffic.Report.r_errors <> 0
     || audit <> [] || not clean
-  then begin
-    Format.printf "FAILED sustainable-rate gate@.";
-    exit 1
-  end;
+  then fail "sustainable-rate gate";
 
   (* Composition: the same offered load under 5% drop + duplication, one
      mid-run crash window on a shard-hosting node, two forced shard
@@ -1871,107 +1599,59 @@ let traffic_bench ~smoke ~baseline ~requests_opt ~domains () =
     (Engine.packets_dropped m_f)
     (Engine.reliable_in_flight m_f)
     (List.length audit_f);
-  List.iter (fun v -> Format.printf "audit: %s@." v) audit_f;
-  if
-    audit_f <> []
-    || Engine.reliable_in_flight m_f <> 0
-    || Engine.packets_dropped m_f = 0
-    || r_f.Traffic.Report.r_timeouts <> 0
-  then begin
-    Format.printf "FAILED exactly-once-under-faults gate@.";
-    exit 1
-  end;
+  faulted_gate ~what:"exactly-once-under-faults gate" sys_f audit_f r_f;
 
   (* Replay gate: the whole subsystem must be schedule-deterministic —
      record a run of the check workload, replay its choice vector, and
      require bit-identical Timeline hashes. *)
-  let wl = Option.get (Check.Workloads.find "traffic") in
-  let o = Check.Explore.run_recorded wl ~seed:1 in
-  let rp = Check.Explore.replay wl o.Check.Explore.o_trace in
-  let replay_identical =
-    rp.Check.Explore.rp_identical
-    && rp.Check.Explore.rp_outcome.Check.Explore.o_hash
-       = o.Check.Explore.o_hash
-    && not (Check.Explore.failed o)
-  in
-  Format.printf "determinism: record %016x replay %016x %s@."
-    o.Check.Explore.o_hash rp.Check.Explore.rp_outcome.Check.Explore.o_hash
-    (if replay_identical then "ok" else "MISMATCH");
-  if not replay_identical then begin
-    Format.printf "FAILED traffic replay gate@.";
-    exit 1
-  end;
+  let hash = replay_gate (workload "traffic") ~seed:1 ~show:determinism in
 
-  (* Rate sweep: open-loop arrivals keep coming whether or not the
-     shards keep up, so past saturation the queues — and the measured
-     tail — grow with the run length instead of the service time. The
-     knee is the first rate where p99 leaves the sustainable band (3x
-     the lowest rate's p99) or goodput falls under 95% of offered. *)
   header "Open-loop traffic: rate sweep (knee where p99 departs)";
   let rates =
     if smoke then [ 50_000; 100_000; 200_000 ]
     else [ 50_000; 80_000; 100_000; 150_000; 200_000; 400_000; 800_000 ]
   in
   let sweep_requests = if smoke then 400 else 2_000 in
+  let rows, knee =
+    knee_sweep rates (fun rate ->
+        let lg, sys, _ = traffic_run ~rate ~requests:sweep_requests () in
+        Traffic.Report.of_run lg sys)
+  in
   Format.printf "%10s %10s %10s %10s %10s %12s@." "rate(rps)" "p50(ns)"
     "p99(ns)" "p999(ns)" "goodput" "of offered";
-  let p99_base = ref 0. in
-  let knee = ref 0 in
   List.iter
-    (fun rate ->
-      let lg, sys, _ = traffic_run ~rate ~requests:sweep_requests () in
-      let r = Traffic.Report.of_run lg sys in
-      if !p99_base = 0. then p99_base := r.Traffic.Report.r_p99_ns;
-      let offered_frac = r.Traffic.Report.r_goodput_rps /. float_of_int rate in
+    (fun (rate, (r : Traffic.Report.t)) ->
       Format.printf "%10d %10.0f %10.0f %10.0f %10.0f %11.1f%%@." rate
         r.Traffic.Report.r_p50_ns r.Traffic.Report.r_p99_ns
         r.Traffic.Report.r_p999_ns r.Traffic.Report.r_goodput_rps
-        (100. *. offered_frac);
-      if
-        !knee = 0
-        && (r.Traffic.Report.r_p99_ns > 3. *. !p99_base
-           || offered_frac < 0.95)
-      then knee := rate)
-    rates;
-  (match !knee with
+        (100. *. r.Traffic.Report.r_goodput_rps /. float_of_int rate))
+    rows;
+  (match knee with
   | 0 -> Format.printf "no knee within the swept range@."
   | k -> Format.printf "knee: p99 departs at %d req/s offered@." k);
 
-  (* Metrics file for CI artifacts + the regression gate. *)
-  let fields =
-    Traffic.Report.json_fields r
+  emit "BENCH_traffic.json"
+    (Traffic.Report.json_fields r
     @ Services.Bench_json.
         [
           ("smoke", Bool smoke);
-          ("knee_rps", Int !knee);
-          ("replay_identical", Bool replay_identical);
-          ( "timeline_hash",
-            Str (Printf.sprintf "%016x" o.Check.Explore.o_hash) );
+          ("knee_rps", Int knee);
+          ("replay_identical", Bool true);
+          ("timeline_hash", Str (Printf.sprintf "%016x" hash));
           ("faulted_p99_ns", Int (int_of_float r_f.Traffic.Report.r_p99_ns));
-        ]
-    @ perf_fields ~domains:(max 1 domains) ()
-  in
-  Services.Bench_json.write ~path:"BENCH_traffic.json" fields;
-  Format.printf "metrics written to BENCH_traffic.json@.";
+        ]);
 
   (* p99 regression gate against a checked-in baseline. *)
-  match baseline with
-  | None -> ()
-  | Some path -> (
-      match Services.Bench_json.read_int_field ~path ~key:"p99_ns" with
-      | None ->
-          Format.printf "FAILED: baseline %s has no p99_ns field@." path;
-          exit 1
-      | Some want ->
-          let got = int_of_float r.Traffic.Report.r_p99_ns in
+  Option.iter
+    (fun path ->
+      let got = int_of_float r.Traffic.Report.r_p99_ns in
+      baseline_gate ~path ~key:"p99_ns" ~what:"p99 regression" (fun want ->
           let limit = want + (want / 2) in
           Format.printf
             "p99 regression gate: %d ns vs baseline %d ns (limit 1.5x = %d)@."
             got want limit;
-          if got > limit then begin
-            Format.printf "FAILED p99 regression gate@.";
-            exit 1
-          end)
+          got <= limit))
+    baseline
 
 (* ------------------------------------------------------------------ *)
 (* Multiactive objects: compatibility-group concurrency in the tier    *)
@@ -1994,39 +1674,20 @@ let multiactive_bench ~smoke ~baseline () =
       [ 60_000; 90_000; 120_000; 180_000; 240_000; 360_000; 480_000; 720_000 ]
   in
   let last_rate = List.nth rates (List.length rates - 1) in
-  (* Same knee criterion as the traffic sweep: first rate where p99
-     leaves the sustainable band (3x the lowest rate's p99) or goodput
-     falls under 95% of offered. *)
   let sweep ~multiactive =
-    let p99_base = ref 0. in
-    let knee = ref 0 in
-    let rows =
-      List.map
-        (fun rate ->
-          let lg, sys, audit =
-            traffic_run ~rate ~requests:sweep_requests ~mix:ma_mix
-              ~multiactive ~ma_budget:8
-              ~rt_config:{ System.default_rt_config with Kernel.ma_cores = 8 }
-              ()
-          in
-          let r = Traffic.Report.of_run lg sys in
-          if !p99_base = 0. then p99_base := r.Traffic.Report.r_p99_ns;
-          let frac =
-            r.Traffic.Report.r_goodput_rps /. float_of_int rate
-          in
-          if
-            !knee = 0
-            && (r.Traffic.Report.r_p99_ns > 3. *. !p99_base || frac < 0.95)
-          then knee := rate;
-          if r.Traffic.Report.r_errors <> 0 || audit <> [] then begin
-            Format.printf "FAILED sweep-audit gate at %d req/s@." rate;
-            List.iter (fun v -> Format.printf "audit: %s@." v) audit;
-            exit 1
-          end;
-          (rate, r))
-        rates
-    in
-    (rows, !knee)
+    knee_sweep rates (fun rate ->
+        let lg, sys, audit =
+          traffic_run ~rate ~requests:sweep_requests ~mix:ma_mix ~multiactive
+            ~ma_budget:8
+            ~rt_config:{ System.default_rt_config with Kernel.ma_cores = 8 }
+            ()
+        in
+        let r = Traffic.Report.of_run lg sys in
+        if r.Traffic.Report.r_errors <> 0 || audit <> [] then begin
+          List.iter (fun v -> Format.printf "audit: %s@." v) audit;
+          fail "sweep-audit gate at %d req/s" rate
+        end;
+        r)
   in
   let ser_rows, ser_knee = sweep ~multiactive:false in
   let ma_rows, ma_knee = sweep ~multiactive:true in
@@ -2051,10 +1712,7 @@ let multiactive_bench ~smoke ~baseline () =
     (if ma_knee = 0 then Printf.sprintf "beyond %d" last_rate
      else string_of_int ma_knee)
     ratio;
-  if ratio < 1.5 then begin
-    Format.printf "FAILED multiactive knee gate@.";
-    exit 1
-  end;
+  if ratio < 1.5 then fail "multiactive knee gate";
   (* Saturated capacity — the goodput ceiling across the sweep — backs
      the knee up with a grid-independent number. *)
   let capacity rows =
@@ -2075,22 +1733,16 @@ let multiactive_bench ~smoke ~baseline () =
      "hot because big". The mid-run load report is captured while the
      backlog exists (at quiescence every queue is empty by probe). *)
   header "Multiactive: overlap anatomy on a hot shard (Zipf keys)";
-  let nodes = 8 and shards = 8 in
-  let kv =
-    Apps.Kv_store.create ~shards ~keys_per_shard:16 ~mget_fan:3
-      ~multiactive:true ()
+  let shards = 8 in
+  let kv, sys =
+    kv_boot
+      ~rt_config:
+        { System.default_rt_config with Kernel.gossip_interval_ns = 40_000 }
+      ~multiactive:true ~nodes:8 ~shards ()
   in
-  let rt_config =
-    { System.default_rt_config with Kernel.gossip_interval_ns = 40_000 }
-  in
-  let sys =
-    System.boot ~rt_config ~nodes ~classes:(Apps.Kv_store.classes kv) ()
-  in
-  let machine = System.machine sys in
-  Apps.Kv_store.spawn kv sys;
   let load = Services.Load.attach sys in
   let mid_report = ref "" in
-  Engine.schedule_at machine ~time:600_000 (fun () ->
+  Engine.schedule_at (System.machine sys) ~time:600_000 (fun () ->
       mid_report := Services.Load.report load);
   let lg =
     Traffic.Loadgen.launch
@@ -2127,10 +1779,8 @@ let multiactive_bench ~smoke ~baseline () =
   Format.printf "mid-run load report (gossiped load/activation-queue depth):@.%s"
     !mid_report;
   List.iter (fun v -> Format.printf "audit: %s@." v) audit;
-  if conflicts <> 0 || !peak < 2 || audit <> [] then begin
-    Format.printf "FAILED overlap-anatomy gate@.";
-    exit 1
-  end;
+  if conflicts <> 0 || !peak < 2 || audit <> [] then
+    fail "overlap-anatomy gate";
 
   (* Exactly-once under faults with admission control in the path: 5%
      drop + duplication must not double-apply a write or lose one —
@@ -2153,78 +1803,41 @@ let multiactive_bench ~smoke ~baseline () =
     (Engine.packets_dropped m_f)
     (Engine.reliable_in_flight m_f)
     (List.length audit_f);
-  List.iter (fun v -> Format.printf "audit: %s@." v) audit_f;
-  if
-    audit_f <> []
-    || Engine.reliable_in_flight m_f <> 0
-    || Engine.packets_dropped m_f = 0
-    || r_f.Traffic.Report.r_timeouts <> 0
-  then begin
-    Format.printf "FAILED multiactive exactly-once gate@.";
-    exit 1
-  end;
+  faulted_gate ~what:"multiactive exactly-once gate" sys_f audit_f r_f;
 
   (* Replay gate: admission decisions route through the engine's
      decision points ("ma.admit.defer", "ma.pump.pick"), so a recorded
      run of the multiactive workload must replay bit-identically. *)
-  let wl = Option.get (Check.Workloads.find "multiactive") in
-  let o = Check.Explore.run_recorded wl ~seed:1 in
-  let rp = Check.Explore.replay wl o.Check.Explore.o_trace in
-  let replay_identical =
-    rp.Check.Explore.rp_identical
-    && rp.Check.Explore.rp_outcome.Check.Explore.o_hash
-       = o.Check.Explore.o_hash
-    && not (Check.Explore.failed o)
-  in
-  Format.printf "determinism: record %016x replay %016x %s@."
-    o.Check.Explore.o_hash rp.Check.Explore.rp_outcome.Check.Explore.o_hash
-    (if replay_identical then "ok" else "MISMATCH");
-  if not replay_identical then begin
-    Format.printf "FAILED multiactive replay gate@.";
-    exit 1
-  end;
+  let hash = replay_gate (workload "multiactive") ~seed:1 ~show:determinism in
 
-  (* Metrics file for CI artifacts + the regression gate. *)
-  Services.Bench_json.write ~path:"BENCH_multiactive.json"
-    (Services.Bench_json.
-       [
-         ("smoke", Bool smoke);
-         ("knee_serialized_rps", Int (eff ser_knee));
-         ("knee_multiactive_rps", Int (eff ma_knee));
-         ("knee_ratio", Float ratio);
-         ("capacity_ratio", Float cap_ratio);
-         ("peak_overlap", Int !peak);
-         ("admissions", Int (Simcore.Stats.get st "ma.admit"));
-         ("queued", Int (Simcore.Stats.get st "ma.queued"));
-         ("overlapped_starts", Int (Simcore.Stats.get st "ma.overlap"));
-         ("conflicts", Int conflicts);
-         ("faulted_p99_ns", Int (int_of_float r_f.Traffic.Report.r_p99_ns));
-         ("replay_identical", Bool replay_identical);
-         ("timeline_hash", Str (Printf.sprintf "%016x" o.Check.Explore.o_hash));
-       ]
-    @ perf_fields ());
-  Format.printf "metrics written to BENCH_multiactive.json@.";
+  emit "BENCH_multiactive.json"
+    Services.Bench_json.
+      [
+        ("smoke", Bool smoke);
+        ("knee_serialized_rps", Int (eff ser_knee));
+        ("knee_multiactive_rps", Int (eff ma_knee));
+        ("knee_ratio", Float ratio);
+        ("capacity_ratio", Float cap_ratio);
+        ("peak_overlap", Int !peak);
+        ("admissions", Int (Simcore.Stats.get st "ma.admit"));
+        ("queued", Int (Simcore.Stats.get st "ma.queued"));
+        ("overlapped_starts", Int (Simcore.Stats.get st "ma.overlap"));
+        ("conflicts", Int conflicts);
+        ("faulted_p99_ns", Int (int_of_float r_f.Traffic.Report.r_p99_ns));
+        ("replay_identical", Bool true);
+        ("timeline_hash", Str (Printf.sprintf "%016x" hash));
+      ];
 
   (* Knee regression gate against a checked-in baseline: the annotated
      build's knee must not move left. *)
-  match baseline with
-  | None -> ()
-  | Some path -> (
-      match
-        Services.Bench_json.read_int_field ~path ~key:"knee_multiactive_rps"
-      with
-      | None ->
-          Format.printf "FAILED: baseline %s has no knee_multiactive_rps@."
-            path;
-          exit 1
-      | Some want ->
-          Format.printf
-            "knee regression gate: %d req/s vs baseline %d req/s@."
+  Option.iter
+    (fun path ->
+      baseline_gate ~path ~key:"knee_multiactive_rps"
+        ~what:"multiactive knee regression" (fun want ->
+          Format.printf "knee regression gate: %d req/s vs baseline %d req/s@."
             (eff ma_knee) want;
-          if eff ma_knee < want then begin
-            Format.printf "FAILED multiactive knee regression gate@.";
-            exit 1
-          end)
+          eff ma_knee >= want))
+    baseline
 
 (* ------------------------------------------------------------------ *)
 (* Parallel engine: domain-sharded simulation, conservative lookahead  *)
@@ -2236,9 +1849,7 @@ let multiactive_bench ~smoke ~baseline () =
    gossip), and enough per-node work that domain sharding has
    something to overlap. *)
 let parallel_workload ~nodes ~requests ~rate () =
-  let kv = Apps.Kv_store.create ~shards:nodes ~keys_per_shard:16 ~mget_fan:3 () in
-  let sys = System.boot ~nodes ~classes:(Apps.Kv_store.classes kv) () in
-  Apps.Kv_store.spawn kv sys;
+  let kv, sys = kv_boot ~nodes ~shards:nodes () in
   let cfg =
     {
       Traffic.Loadgen.default_config with
@@ -2258,8 +1869,8 @@ let parallel_bench ~smoke ~baseline ~domains () =
   let rate = 400_000 in
   let cores = Domain.recommended_domain_count () in
   (* One measurement: build the workload fresh, run it under [run], wall
-     clock it, and collect the run's audit + Timeline hash. *)
-  let measure run =
+     clock it, gate on the run's audit, and return its Timeline hash. *)
+  let measure label run =
     let sys, lg = parallel_workload ~nodes ~requests ~rate () in
     let tl = Services.Timeline.attach sys in
     let t0 = Unix.gettimeofday () in
@@ -2267,25 +1878,21 @@ let parallel_bench ~smoke ~baseline ~domains () =
     let wall = Unix.gettimeofday () -. t0 in
     note_events sys;
     let audit = Traffic.Loadgen.audit lg sys in
-    (wall, Services.Timeline.hash tl, audit,
-     Machine.Engine.events_processed (System.machine sys))
-  in
-  let check_audit label audit =
     if audit <> [] then begin
       List.iter (fun v -> Format.printf "audit(%s): %s@." label v) audit;
-      Format.printf "FAILED parallel workload audit (%s)@." label;
-      exit 1
-    end
+      fail "parallel workload audit (%s)" label
+    end;
+    (wall, Services.Timeline.hash tl,
+     Machine.Engine.events_processed (System.machine sys))
   in
   Format.printf "host cores: %d; lookahead: %d ns; %d nodes, %d requests at %d req/s@."
     cores
     (let sys, _ = parallel_workload ~nodes ~requests:1 ~rate () in
      Machine.Engine.lookahead_ns (System.machine sys))
     nodes requests rate;
-  let seq_wall, _seq_hash, seq_audit, seq_events =
-    measure (fun sys -> System.run sys)
+  let seq_wall, _seq_hash, seq_events =
+    measure "sequential" (fun sys -> System.run sys)
   in
-  check_audit "sequential" seq_audit;
   Format.printf "%10s %12s %12s %10s  %s@." "engine" "wall(s)" "events/s"
     "speedup" "timeline hash";
   Format.printf "%10s %12.3f %12.0f %9.2fx@." "seq" seq_wall
@@ -2295,10 +1902,10 @@ let parallel_bench ~smoke ~baseline ~domains () =
   let rows =
     List.map
       (fun d ->
-        let wall, hash, audit, events =
-          measure (fun sys -> System.run_parallel sys ~domains:d)
+        let wall, hash, events =
+          measure (Printf.sprintf "domains=%d" d) (fun sys ->
+              System.run_parallel sys ~domains:d)
         in
-        check_audit (Printf.sprintf "domains=%d" d) audit;
         Format.printf "%8s %2d %12.3f %12.0f %9.2fx  %016x@." "domains" d wall
           (float_of_int events /. wall)
           (seq_wall /. wall) hash;
@@ -2310,13 +1917,10 @@ let parallel_bench ~smoke ~baseline ~domains () =
   let _, _, h1, _ = List.hd rows in
   List.iter
     (fun (d, _, h, _) ->
-      if h <> h1 then begin
-        Format.printf
-          "FAILED parallel determinism gate: hash %016x at %d domain(s) <> \
-           %016x at 1@."
-          h d h1;
-        exit 1
-      end)
+      if h <> h1 then
+        fail
+          "parallel determinism gate: hash %016x at %d domain(s) <> %016x at 1"
+          h d h1)
     rows;
   Format.printf "determinism: identical Timeline hash at 1/2/4/8 domains@.";
   (* Speedup gate — only meaningful when the host actually has the
@@ -2329,10 +1933,7 @@ let parallel_bench ~smoke ~baseline ~domains () =
   let speedup_4 = seq_wall /. wall_at 4 in
   if cores >= 4 then begin
     Format.printf "speedup at 4 domains: %.2fx (gate: >= 1.5x)@." speedup_4;
-    if speedup_4 < 1.5 then begin
-      Format.printf "FAILED parallel speedup gate@.";
-      exit 1
-    end
+    if speedup_4 < 1.5 then fail "parallel speedup gate"
   end
   else
     Format.printf
@@ -2353,7 +1954,7 @@ let parallel_bench ~smoke ~baseline ~domains () =
       [ Env_faults; Env_coalesce; Env_recover ]
   in
   let env_fields = List.concat_map (fun (_, _, f) -> f) env_rows in
-  Services.Bench_json.write ~path:"BENCH_parallel.json"
+  emit ~domains:4 "BENCH_parallel.json"
     (Services.Bench_json.
        [
          ("smoke", Bool smoke);
@@ -2370,11 +1971,18 @@ let parallel_bench ~smoke ~baseline ~domains () =
          ("timeline_hash_int", Int h1);
          ("total_events", Int total_events);
        ]
-    @ env_fields @ perf_fields ~domains:4 ());
-  Format.printf "metrics written to BENCH_parallel.json@.";
+    @ env_fields);
   (* Baseline gate: the canonical observation stream is a pure function
      of the workload, so against a baseline recorded at the same
-     request count the hash must match exactly. *)
+     request count the hash must match exactly — for the KV workload
+     and for each feature row. Feature keys absent from an older
+     baseline are reported, not failed. *)
+  let hash_gate ?skip_missing path ~key ~what h =
+    baseline_gate ?skip_missing ~path ~key ~what (fun want ->
+        Format.printf "%s gate: %016x vs baseline %016x %s@." what h want
+          (if h = want then "(ok)" else "(MISMATCH)");
+        h = want)
+  in
   match baseline with
   | None -> ()
   | Some path -> (
@@ -2384,75 +1992,39 @@ let parallel_bench ~smoke ~baseline ~domains () =
             "baseline %s was recorded at %d request(s), this run used %d — \
              hash gate skipped@."
             path want_req requests
-      | _ -> (
-          match
-            Services.Bench_json.read_int_field ~path ~key:"timeline_hash_int"
-          with
-          | None ->
-              Format.printf "FAILED: baseline %s has no timeline_hash_int@."
-                path;
-              exit 1
-          | Some want ->
-              Format.printf
-                "baseline hash gate: %016x vs baseline %016x %s@." h1 want
-                (if h1 = want then "(ok)" else "(MISMATCH)");
-              if h1 <> want then begin
-                Format.printf "FAILED parallel baseline hash gate@.";
-                exit 1
-              end;
-              (* Per-feature hash gates, against baselines recorded at
-                 the same scale. Absent keys are reported, not failed,
-                 so an older baseline file stays usable. *)
-              List.iter
-                (fun (nm, h, _) ->
-                  match
-                    Services.Bench_json.read_int_field ~path
-                      ~key:(nm ^ "_hash_int")
-                  with
-                  | None ->
-                      Format.printf
-                        "baseline has no %s_hash_int — feature hash gate \
-                         skipped@."
-                        nm
-                  | Some want_f ->
-                      Format.printf
-                        "baseline %s hash gate: %016x vs baseline %016x %s@."
-                        nm h want_f
-                        (if h = want_f then "(ok)" else "(MISMATCH)");
-                      if h <> want_f then begin
-                        Format.printf
-                          "FAILED parallel baseline feature hash gate (%s)@."
-                          nm;
-                        exit 1
-                      end)
-                env_rows))
+      | _ ->
+          hash_gate path ~key:"timeline_hash_int" ~what:"baseline hash" h1;
+          List.iter
+            (fun (nm, h, _) ->
+              hash_gate ~skip_missing:true path ~key:(nm ^ "_hash_int")
+                ~what:(Printf.sprintf "baseline %s hash" nm)
+                h)
+            env_rows)
 
 (* ------------------------------------------------------------------ *)
 (* Schedule explorer: sweep perturbed schedules, shrink failures       *)
 (* ------------------------------------------------------------------ *)
 
 let explore ~smoke ~schedules ~seed ~workload ~replay ~out_dir () =
+  let module E = Check.Explore in
   header "Schedule explorer";
   match replay with
   | Some path ->
-      let r = Check.Explore.replay_file path in
-      let o = r.Check.Explore.rp_outcome in
-      Format.printf "workload %s, %d choice(s)@." o.Check.Explore.o_workload
-        (Array.length o.Check.Explore.o_trace);
+      let r = E.replay_file path in
+      let o = r.E.rp_outcome in
+      Format.printf "workload %s, %d choice(s)@." o.E.o_workload
+        (Array.length o.E.o_trace);
       List.iter
         (fun (p, d) -> Format.printf "violation: %s: %s@." p d)
-        o.Check.Explore.o_violations;
-      (match o.Check.Explore.o_crash with
+        o.E.o_violations;
+      (match o.E.o_crash with
       | Some e -> Format.printf "crash: %s@." e
       | None -> ());
-      Format.printf "replay hashes: %016x / %016x@." o.Check.Explore.o_hash
-        r.Check.Explore.rp_second_hash;
-      if not r.Check.Explore.rp_identical then begin
-        Format.printf "FAILED: replay is not bit-identical@.";
-        exit 1
-      end;
+      Format.printf "replay hashes: %016x / %016x@." o.E.o_hash
+        r.E.rp_second_hash;
+      if not r.E.rp_identical then fail "replay is not bit-identical";
       Format.printf "replay bit-identical: yes@.";
-      if Check.Explore.failed o then
+      if E.failed o then
         Format.printf "schedule still failing (as a reproducer should)@."
       else Format.printf "schedule passes: the pinned bug stays fixed@."
   | None ->
@@ -2470,99 +2042,37 @@ let explore ~smoke ~schedules ~seed ~workload ~replay ~out_dir () =
         match schedules with Some n -> n | None -> if smoke then 6 else 40
       in
       (* Determinism gate first: a recorded schedule must replay
-         bit-identically on every workload. *)
+         bit-identically on every workload, failing or not. *)
       List.iter
         (fun w ->
-          let o = Check.Explore.run_recorded w ~seed in
-          let r = Check.Explore.replay w o.Check.Explore.o_trace in
-          let ident =
-            r.Check.Explore.rp_identical
-            && (Option.is_some o.Check.Explore.o_crash
-               || r.Check.Explore.rp_outcome.Check.Explore.o_hash
-                  = o.Check.Explore.o_hash)
-          in
-          Format.printf "%-10s determinism: record %016x replay %016x %s@."
-            w.Check.Workloads.w_name o.Check.Explore.o_hash
-            r.Check.Explore.rp_outcome.Check.Explore.o_hash
-            (if ident then "ok" else "MISMATCH");
-          if not ident then begin
-            Format.printf "FAILED: replay of a recorded schedule diverged@.";
-            exit 1
-          end)
+          ignore
+            (replay_gate ~allow_failing:true w ~seed
+               ~show:
+                 (determinism
+                    ~label:(Printf.sprintf "%-10s " w.Check.Workloads.w_name))))
         workloads;
       let out_dir = Option.value out_dir ~default:"." in
       let summary =
-        Check.Explore.sweep ~out_dir
+        E.sweep ~out_dir
           ~log:(fun s -> Format.printf "  %s@." s)
           ~workloads ~schedules ~seed ()
       in
       Format.printf "%d run(s) across %d workload(s): %d failing schedule(s)@."
-        summary.Check.Explore.runs (List.length workloads)
-        (List.length summary.Check.Explore.failures);
-      if summary.Check.Explore.failures <> [] then begin
+        summary.E.runs (List.length workloads)
+        (List.length summary.E.failures);
+      if summary.E.failures <> [] then begin
         List.iter
           (fun f ->
-            let o = f.Check.Explore.f_outcome in
-            Format.printf "FAIL %s (seed %s): %s@."
-              o.Check.Explore.o_workload
-              (match o.Check.Explore.o_seed with
-              | Some s -> string_of_int s
-              | None -> "-")
-              (match
-                 (o.Check.Explore.o_violations, o.Check.Explore.o_crash)
-               with
+            let o = f.E.f_outcome in
+            Format.printf "FAIL %s (seed %s): %s@." o.E.o_workload
+              (match o.E.o_seed with Some s -> string_of_int s | None -> "-")
+              (match (o.E.o_violations, o.E.o_crash) with
               | (p, d) :: _, _ -> p ^ ": " ^ d
               | [], Some e -> "crash: " ^ e
               | [], None -> "?"))
-          summary.Check.Explore.failures;
-        exit 1
+          summary.E.failures;
+        fail "%d failing schedule(s)" (List.length summary.E.failures)
       end
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel: wall-clock cost of the simulator itself                   *)
-(* ------------------------------------------------------------------ *)
-
-let bechamel () =
-  header "Bechamel: simulator wall-clock microbenchmarks";
-  let open Bechamel in
-  let open Toolkit in
-  let nqueens_small ~rt_config () =
-    ignore (Apps.Nqueens_par.run ~rt_config ~nodes:4 ~n:6 ())
-  in
-  let tests =
-    Test.make_grouped ~name:"repro"
-      [
-        Test.make ~name:"table1-intra-ops"
-          (Staged.stage (fun () -> ignore (Apps.Microbench.measure ())));
-        Test.make ~name:"table2-dormant-dispatch"
-          (Staged.stage (fun () -> ignore (Apps.Ring.run ~nodes:2 ~laps:8 ())));
-        Test.make ~name:"table3-now-roundtrip"
-          (Staged.stage (fun () -> ignore (Apps.Fib.run ~nodes:2 ~n:6 ())));
-        Test.make ~name:"table4-fig5-nqueens"
-          (Staged.stage (nqueens_small ~rt_config:System.default_rt_config));
-        Test.make ~name:"fig6-nqueens-naive"
-          (Staged.stage (nqueens_small ~rt_config:System.naive_rt_config));
-      ]
-  in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 10) ()
-  in
-  let raw = Benchmark.all cfg instances tests in
-  let ols =
-    Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name result acc -> (name, result) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, result) ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Format.printf "%-28s %12.0f ns/run@." name est
-      | Some _ | None -> Format.printf "%-28s (no estimate)@." name)
-    rows
 
 (* ------------------------------------------------------------------ *)
 
@@ -2587,36 +2097,42 @@ let () =
   let replay, args = extract_opt "--replay" args in
   let out_dir, args = extract_opt "--out" args in
   let baseline, args = extract_opt "--baseline" args in
-  let requests_opt, args = extract_opt "--requests" args in
-  let domains_opt, args = extract_opt "--domains" args in
-  let requests_opt = Option.map int_of_string requests_opt in
-  let domains = match domains_opt with Some d -> int_of_string d | None -> 1 in
+  let domains, args = extract_opt "--domains" args in
+  let domains = Option.fold ~none:1 ~some:int_of_string domains in
   let full = List.mem "--full" args in
   let smoke = List.mem "--smoke" args in
-  let sections = List.filter (fun a -> a <> "--full" && a <> "--smoke") args in
-  let sections = if sections = [] then [ "all" ] else sections in
-  let want s = List.mem s sections || List.mem "all" sections in
-  (* The explorer is a checker, not a benchmark: it only runs when asked
-     for by name (never under "all"). *)
-  if List.mem "explore" sections then
-    explore ~smoke
-      ~schedules:(Option.map int_of_string schedules)
-      ~seed:(match seed with Some s -> int_of_string s | None -> 1)
-      ~workload ~replay ~out_dir ();
-  if want "table1" then table1 ();
-  if want "table2" then table2 ();
-  if want "table3" then table3 ();
-  if want "table4" then table4 ~full ();
-  if want "fig5" then fig5 ~full ();
-  if want "fig6" then fig6 ~full ();
-  if want "ablations" then ablations ();
-  if want "faults" then faults ~smoke ~domains ();
-  if want "migrate" then migrate_bench ~smoke ();
-  if want "dgc" then dgc_bench ~smoke ();
-  if want "coalesce" then coalesce_bench ~smoke ~domains ();
-  if want "recover" then recover_bench ~smoke ~domains ();
-  if want "traffic" then traffic_bench ~smoke ~baseline ~requests_opt ~domains ();
-  if want "multiactive" then multiactive_bench ~smoke ~baseline ();
-  if want "parallel" then parallel_bench ~smoke ~baseline ~domains ();
-  if want "bechamel" then bechamel ();
+  let named = List.filter (fun a -> a <> "--full" && a <> "--smoke") args in
+  let named = if named = [] then [ "all" ] else named in
+  let sections =
+    [
+      (* The explorer is a checker, not a benchmark: it only runs when
+         asked for by name (never under "all"). *)
+      ( "explore",
+        fun () ->
+          explore ~smoke
+            ~schedules:(Option.map int_of_string schedules)
+            ~seed:(Option.fold ~none:1 ~some:int_of_string seed)
+            ~workload ~replay ~out_dir () );
+      ("table1", table1);
+      ("table2", table2);
+      ("table3", table3);
+      ("table4", table4 ~full);
+      ("fig5", fig5 ~full);
+      ("fig6", fig6 ~full);
+      ("ablations", ablations);
+      ("faults", faults ~smoke ~domains);
+      ("migrate", migrate_bench ~smoke);
+      ("dgc", dgc_bench ~smoke);
+      ("coalesce", coalesce_bench ~smoke ~domains);
+      ("recover", recover_bench ~smoke ~domains);
+      ("traffic", traffic_bench ~smoke ~baseline);
+      ("multiactive", multiactive_bench ~smoke ~baseline);
+      ("parallel", parallel_bench ~smoke ~baseline ~domains);
+    ]
+  in
+  List.iter
+    (fun (name, run) ->
+      if List.mem name named || (name <> "explore" && List.mem "all" named)
+      then run ())
+    sections;
   Format.printf "@."

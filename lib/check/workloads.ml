@@ -167,52 +167,6 @@ let faults =
 
 (* --- migration: an order-sensitive stream across forced moves -------- *)
 
-let p_madd = Pattern.intern "chk_madd" ~arity:1
-let p_mreport = Pattern.intern "chk_mreport" ~arity:0
-let p_mnext = Pattern.intern "chk_mnext" ~arity:0
-
-let mcell_cls ~result () =
-  Class_def.define ~name:"chk_mcell" ~state:[| "hash"; "sum" |]
-    ~init:(fun _ -> [| Value.int 0; Value.int 0 |])
-    ~methods:
-      [
-        ( p_madd,
-          fun ctx msg ->
-            let k = Value.to_int (Message.arg msg 0) in
-            Ctx.set ctx 0 (Value.int ((31 * Value.to_int (Ctx.get ctx 0)) + k));
-            Ctx.set ctx 1 (Value.int (Value.to_int (Ctx.get ctx 1) + k)) );
-        ( p_mreport,
-          fun ctx _ ->
-            result :=
-              Some
-                (Value.to_int (Ctx.get ctx 0), Value.to_int (Ctx.get ctx 1)) );
-      ]
-    ()
-
-let mdriver_cls () =
-  Class_def.define ~name:"chk_mdriver" ~state:[| "target"; "i"; "count" |]
-    ~init:(fun args ->
-      match args with
-      | [ target; count ] -> [| target; Value.int 1; count |]
-      | _ -> invalid_arg "chk_mdriver")
-    ~methods:
-      [
-        ( p_mnext,
-          fun ctx _ ->
-            let target =
-              match Ctx.get ctx 0 with Value.Addr a -> a | _ -> assert false
-            in
-            let i = Value.to_int (Ctx.get ctx 1) in
-            let count = Value.to_int (Ctx.get ctx 2) in
-            if i <= count then begin
-              Ctx.send ctx target p_madd [ Value.int i ];
-              Ctx.set ctx 1 (Value.int (i + 1));
-              Ctx.send ctx (Ctx.self ctx) p_mnext []
-            end
-            else Ctx.send ctx target p_mreport [] );
-      ]
-    ()
-
 let migrate_wl =
   {
     w_name = "migrate";
@@ -220,11 +174,11 @@ let migrate_wl =
       (fun sched ->
         let faults = drawn_faults sched ~tag:"mig.fault" in
         let machine_config = { Engine.default_config with Engine.faults } in
-        let result = ref None in
-        let cell = mcell_cls ~result () in
-        let driver = mdriver_cls () in
+        let st = Harness.stream ~prefix:"chk_m" in
         let sys =
-          System.boot ~machine_config ~nodes:4 ~classes:[ cell; driver ] ()
+          System.boot ~machine_config ~nodes:4
+            ~classes:[ st.Harness.cell; st.Harness.driver ]
+            ()
         in
         let machine = System.machine sys in
         wire sched machine;
@@ -234,11 +188,7 @@ let migrate_wl =
         Probes.register_standard mon sys ~migrate:mig ();
         Monitor.attach_periodic mon machine ~interval_ns:monitor_interval_ns;
         let count = 36 in
-        let cell_addr = System.create_root sys ~node:0 cell [] in
-        let d =
-          System.create_root sys ~node:1 driver
-            [ Value.Addr cell_addr; Value.int count ]
-        in
+        let cell_addr, d = Harness.place_stream st sys ~count in
         (* Force moves while the stream is in flight; times and targets
            come from the schedule (0 everywhere = no moves at all). *)
         let moves = Schedule.choice sched ~tag:"mig.moves" 6 in
@@ -249,16 +199,11 @@ let migrate_wl =
             ~time:(10_000 + (k * 25_000) + (phase * 3_000))
             (fun () -> ignore (Migrate.move mig ~canon:cell_addr ~to_))
         done;
-        System.send_boot sys d p_mnext [];
+        System.send_boot sys d st.Harness.start [];
         System.run sys;
-        let want_hash, want_sum =
-          List.fold_left
-            (fun (h, s) k -> ((31 * h) + k, s + k))
-            (0, 0)
-            (List.init count (fun i -> i + 1))
-        in
+        let want_hash, want_sum = Harness.stream_expected ~count in
         let app_violations =
-          match !result with
+          match !(st.Harness.result) with
           | Some (h, s) when h = want_hash && s = want_sum -> []
           | Some (h, s) ->
               [
@@ -275,37 +220,6 @@ let migrate_wl =
 
 (* --- DGC churn with aggregation riding -------------------------------- *)
 
-let p_poke = Pattern.intern "chk_poke" ~arity:1
-let p_churn = Pattern.intern "chk_churn" ~arity:2
-
-let gcell_cls () =
-  Class_def.define ~name:"chk_gcell" ~state:[| "v" |]
-    ~init:(fun _ -> [| Value.int 0 |])
-    ~methods:[ (p_poke, fun ctx msg -> Ctx.set ctx 0 (Message.arg msg 0)) ]
-    ()
-
-let churner_cls ~cell () =
-  Class_def.define ~name:"chk_churner" ~state:[| "ref" |]
-    ~init:(fun _ -> [| Value.unit |])
-    ~methods:
-      [
-        ( p_churn,
-          fun ctx msg ->
-            let i = Value.to_int (Message.arg msg 0) in
-            let n = Value.to_int (Message.arg msg 1) in
-            if i < n then begin
-              let p = Ctx.node_count ctx in
-              let target = (Ctx.node_id ctx + 1 + (i mod (p - 1))) mod p in
-              let a = Ctx.create_on ctx ~target cell [] in
-              Ctx.send ctx a p_poke [ Value.int i ];
-              (* keep only the newest reference: garbage every cycle *)
-              Ctx.set ctx 0 (Value.Addr a);
-              Ctx.send ctx (Ctx.self ctx) p_churn
-                [ Value.int (i + 1); Value.int n ]
-            end );
-      ]
-    ()
-
 let dgc_wl =
   {
     w_name = "dgc";
@@ -319,10 +233,11 @@ let dgc_wl =
             coalesce = Some Machine.Coalesce.default_config;
           }
         in
-        let cell = gcell_cls () in
-        let churner = churner_cls ~cell () in
+        let ch = Harness.churn ~prefix:"chk_" in
         let sys =
-          System.boot ~machine_config ~nodes:4 ~classes:[ cell; churner ] ()
+          System.boot ~machine_config ~nodes:4
+            ~classes:[ ch.Harness.gcell; ch.Harness.churner ]
+            ()
         in
         let machine = System.machine sys in
         wire sched machine;
@@ -334,10 +249,7 @@ let dgc_wl =
         let mon = Monitor.create () in
         Probes.register_standard mon sys ~dgc:g ();
         Monitor.attach_periodic mon machine ~interval_ns:monitor_interval_ns;
-        for node = 0 to 3 do
-          let c = System.create_root sys ~node churner [] in
-          System.send_boot sys c p_churn [ Value.int 0; Value.int 24 ]
-        done;
+        Harness.start_churn ch sys ~cycles:24;
         System.run sys;
         Dgc.settle g;
         let extra =
@@ -353,9 +265,36 @@ let dgc_wl =
         finish mon tl extra);
   }
 
-(* --- coalesced bursts: exactly-once FIFO per channel ------------------ *)
+(* --- sequenced bursts: exactly-once FIFO per channel ------------------ *)
 
-type Machine.Am.payload += Chk_seq of { k : int }
+(* Three rounds of sequenced bursts on a raw 8-node engine under
+   [config], with the crash-recovery manager attached when [crashes] is
+   given. The monitor runs the reliable probe, the coalesce probe when
+   batching is on, and the recovery audits; the burst's exactly-once
+   FIFO verdict is the app check. *)
+let run_bursts sched ~config ?crashes ~start ~burst () =
+  let m = Engine.create ~config ~nodes:8 () in
+  wire sched m;
+  let tl = Services.Timeline.attach_machine m in
+  let s = Harness.seq m in
+  let mgr =
+    Option.map
+      (fun crashes ->
+        Recover.Manager.attach m ~app:(Harness.recovery_app s) ~crashes ())
+      crashes
+  in
+  let mon = Monitor.create () in
+  Monitor.register mon ~name:"reliable" ~when_:Monitor.At_quiescence
+    (Probes.reliable m);
+  if config.Engine.coalesce <> None then
+    Monitor.register mon ~name:"coalesce" ~when_:Monitor.At_quiescence
+      (Probes.coalesce m);
+  Option.iter (Probes.register_recovery mon) mgr;
+  Monitor.attach_periodic mon m ~interval_ns:monitor_interval_ns;
+  Harness.send_rounds s ~rounds:3 ~start ~burst;
+  Engine.run m;
+  let v = Harness.verdict s in
+  finish mon tl (List.map (fun d -> ("app", d)) v.Harness.findings)
 
 let coalesce_wl =
   {
@@ -370,69 +309,7 @@ let coalesce_wl =
             coalesce = Some Machine.Coalesce.default_config;
           }
         in
-        let m = Engine.create ~config ~nodes:8 () in
-        wire sched m;
-        let tl = Services.Timeline.attach_machine m in
-        let mon = Monitor.create () in
-        Monitor.register mon ~name:"reliable" ~when_:Monitor.At_quiescence
-          (Probes.reliable m);
-        Monitor.register mon ~name:"coalesce" ~when_:Monitor.At_quiescence
-          (Probes.coalesce m);
-        Monitor.attach_periodic mon m ~interval_ns:monitor_interval_ns;
-        let senders = 3 and dests = 2 and rounds = 3 and burst = 16 in
-        let next = Hashtbl.create 16 in
-        let bad = ref [] in
-        let h =
-          Engine.register_handler m Machine.Am.Service ~name:"chk-seq"
-            (fun _ node am ->
-              match am.Machine.Am.payload with
-              | Chk_seq { k } ->
-                  let ch = (am.Machine.Am.src, Machine.Node.id node) in
-                  let expect =
-                    Option.value (Hashtbl.find_opt next ch) ~default:0
-                  in
-                  if k <> expect then
-                    bad :=
-                      Printf.sprintf
-                        "channel %d->%d: received %d, expected %d (FIFO \
-                         broken)"
-                        (fst ch) (snd ch) k expect
-                      :: !bad;
-                  Hashtbl.replace next ch (max (k + 1) expect)
-              | _ -> ())
-        in
-        let sent = Hashtbl.create 16 in
-        for r = 0 to rounds - 1 do
-          Engine.schedule_at m ~time:(r * 40_000) (fun () ->
-              for s = 0 to senders - 1 do
-                let src = Engine.node m s in
-                Engine.post m src (fun () ->
-                    for d = 1 to dests do
-                      let dst = (s + (d * 3)) mod 8 in
-                      for _ = 1 to burst do
-                        let ch = (s, dst) in
-                        let k =
-                          Option.value (Hashtbl.find_opt sent ch) ~default:0
-                        in
-                        Hashtbl.replace sent ch (k + 1);
-                        Engine.send_am m ~src ~dst ~handler:h ~size_bytes:8
-                          (Chk_seq { k })
-                      done
-                    done)
-              done)
-        done;
-        Engine.run m;
-        Hashtbl.iter
-          (fun ch k ->
-            let got = Option.value (Hashtbl.find_opt next ch) ~default:0 in
-            if got <> k then
-              bad :=
-                Printf.sprintf "channel %d->%d: delivered %d of %d sent"
-                  (fst ch) (snd ch) got k
-                :: !bad)
-          sent;
-        let extra = List.map (fun d -> ("app", d)) (List.rev !bad) in
-        finish mon tl extra);
+        run_bursts sched ~config ~start:0 ~burst:16 ());
   }
 
 (* --- crash recovery: kill nodes mid-burst, restore, replay ------------ *)
@@ -456,53 +333,6 @@ let recover_wl =
           { Engine.default_config with Engine.faults = Some plan }
         in
         let nodes = 8 in
-        let m = Engine.create ~config ~nodes () in
-        wire sched m;
-        let tl = Services.Timeline.attach_machine m in
-        (* Receive-side state lives in per-node tables so a checkpoint
-           can snapshot exactly one node's slice and a crash can wipe
-           exactly that slice. *)
-        let next = Array.init nodes (fun _ -> Hashtbl.create 16) in
-        let bad = ref [] in
-        let h =
-          Engine.register_handler m Machine.Am.Service ~name:"chk-rec-seq"
-            (fun _ node am ->
-              match am.Machine.Am.payload with
-              | Chk_seq { k } ->
-                  let me = Machine.Node.id node in
-                  let src = am.Machine.Am.src in
-                  let expect =
-                    Option.value (Hashtbl.find_opt next.(me) src) ~default:0
-                  in
-                  if k <> expect then
-                    bad :=
-                      Printf.sprintf
-                        "channel %d->%d: received %d, expected %d (FIFO or \
-                         exactly-once broken)"
-                        src me k expect
-                      :: !bad;
-                  Hashtbl.replace next.(me) src (max (k + 1) expect)
-              | _ -> ())
-        in
-        let app =
-          {
-            Recover.Manager.a_snapshot =
-              (fun node ->
-                let slice =
-                  Hashtbl.fold
-                    (fun src k acc -> (src, k) :: acc)
-                    next.(node) []
-                in
-                Some (Marshal.to_bytes (List.sort compare slice) []));
-            a_restore =
-              (fun node b ->
-                Hashtbl.reset next.(node);
-                List.iter
-                  (fun (src, k) -> Hashtbl.replace next.(node) src k)
-                  (Marshal.from_bytes b 0 : (int * int) list));
-            a_reset = (fun node -> Hashtbl.reset next.(node));
-          }
-        in
         let crashes =
           let n = Schedule.choice sched ~tag:"rec.crashes" 3 in
           let first = Schedule.choice sched ~tag:"rec.victim" nodes in
@@ -518,49 +348,7 @@ let recover_wl =
                 cs_jitter_ns = 2_000;
               })
         in
-        let mgr = Recover.Manager.attach m ~app ~crashes () in
-        let mon = Monitor.create () in
-        Monitor.register mon ~name:"reliable" ~when_:Monitor.At_quiescence
-          (Probes.reliable m);
-        Probes.register_recovery mon mgr;
-        Monitor.attach_periodic mon m ~interval_ns:monitor_interval_ns;
-        let senders = 3 and dests = 2 and rounds = 3 and burst = 12 in
-        (* Sent counters tick at actual send time, so bursts wiped from a
-           crashed sender's run queue never count as sent. *)
-        let sent = Hashtbl.create 16 in
-        for r = 0 to rounds - 1 do
-          Engine.schedule_at m ~time:(10_000 + (r * 40_000)) (fun () ->
-              for s = 0 to senders - 1 do
-                let src = Engine.node m s in
-                Engine.post m src (fun () ->
-                    for d = 1 to dests do
-                      let dst = (s + (d * 3)) mod nodes in
-                      for _ = 1 to burst do
-                        let ch = (s, dst) in
-                        let k =
-                          Option.value (Hashtbl.find_opt sent ch) ~default:0
-                        in
-                        Hashtbl.replace sent ch (k + 1);
-                        Engine.send_am m ~src ~dst ~handler:h ~size_bytes:8
-                          (Chk_seq { k })
-                      done
-                    done)
-              done)
-        done;
-        Engine.run m;
-        Hashtbl.iter
-          (fun (s, dstn) k ->
-            let got =
-              Option.value (Hashtbl.find_opt next.(dstn) s) ~default:0
-            in
-            if got <> k then
-              bad :=
-                Printf.sprintf "channel %d->%d: delivered %d of %d sent" s
-                  dstn got k
-                :: !bad)
-          sent;
-        let extra = List.map (fun d -> ("app", d)) (List.rev !bad) in
-        finish mon tl extra);
+        run_bursts sched ~config ~crashes ~start:10_000 ~burst:12 ());
   }
 
 (* --- the lifted envelope: faults + coalescing + crash recovery -------- *)
@@ -597,50 +385,6 @@ let hostile_wl =
           }
         in
         let nodes = 8 in
-        let m = Engine.create ~config ~nodes () in
-        wire sched m;
-        let tl = Services.Timeline.attach_machine m in
-        let next = Array.init nodes (fun _ -> Hashtbl.create 16) in
-        let bad = ref [] in
-        let h =
-          Engine.register_handler m Machine.Am.Service ~name:"chk-hostile-seq"
-            (fun _ node am ->
-              match am.Machine.Am.payload with
-              | Chk_seq { k } ->
-                  let me = Machine.Node.id node in
-                  let src = am.Machine.Am.src in
-                  let expect =
-                    Option.value (Hashtbl.find_opt next.(me) src) ~default:0
-                  in
-                  if k <> expect then
-                    bad :=
-                      Printf.sprintf
-                        "channel %d->%d: received %d, expected %d (FIFO or \
-                         exactly-once broken)"
-                        src me k expect
-                      :: !bad;
-                  Hashtbl.replace next.(me) src (max (k + 1) expect)
-              | _ -> ())
-        in
-        let app =
-          {
-            Recover.Manager.a_snapshot =
-              (fun node ->
-                let slice =
-                  Hashtbl.fold
-                    (fun src k acc -> (src, k) :: acc)
-                    next.(node) []
-                in
-                Some (Marshal.to_bytes (List.sort compare slice) []));
-            a_restore =
-              (fun node b ->
-                Hashtbl.reset next.(node);
-                List.iter
-                  (fun (src, k) -> Hashtbl.replace next.(node) src k)
-                  (Marshal.from_bytes b 0 : (int * int) list));
-            a_reset = (fun node -> Hashtbl.reset next.(node));
-          }
-        in
         let crashes =
           let first = Schedule.choice sched ~tag:"ho.victim" nodes in
           List.init 2 (fun k ->
@@ -654,49 +398,7 @@ let hostile_wl =
                 cs_jitter_ns = 2_000;
               })
         in
-        let mgr = Recover.Manager.attach m ~app ~crashes () in
-        let mon = Monitor.create () in
-        Monitor.register mon ~name:"reliable" ~when_:Monitor.At_quiescence
-          (Probes.reliable m);
-        Monitor.register mon ~name:"coalesce" ~when_:Monitor.At_quiescence
-          (Probes.coalesce m);
-        Probes.register_recovery mon mgr;
-        Monitor.attach_periodic mon m ~interval_ns:monitor_interval_ns;
-        let senders = 3 and dests = 2 and rounds = 3 and burst = 12 in
-        let sent = Hashtbl.create 16 in
-        for r = 0 to rounds - 1 do
-          Engine.schedule_at m ~time:(10_000 + (r * 40_000)) (fun () ->
-              for s = 0 to senders - 1 do
-                let src = Engine.node m s in
-                Engine.post m src (fun () ->
-                    for d = 1 to dests do
-                      let dst = (s + (d * 3)) mod nodes in
-                      for _ = 1 to burst do
-                        let ch = (s, dst) in
-                        let k =
-                          Option.value (Hashtbl.find_opt sent ch) ~default:0
-                        in
-                        Hashtbl.replace sent ch (k + 1);
-                        Engine.send_am m ~src ~dst ~handler:h ~size_bytes:8
-                          (Chk_seq { k })
-                      done
-                    done)
-              done)
-        done;
-        Engine.run m;
-        Hashtbl.iter
-          (fun (s, dstn) k ->
-            let got =
-              Option.value (Hashtbl.find_opt next.(dstn) s) ~default:0
-            in
-            if got <> k then
-              bad :=
-                Printf.sprintf "channel %d->%d: delivered %d of %d sent" s
-                  dstn got k
-                :: !bad)
-          sent;
-        let extra = List.map (fun d -> ("app", d)) (List.rev !bad) in
-        finish mon tl extra);
+        run_bursts sched ~config ~crashes ~start:10_000 ~burst:12 ());
   }
 
 (* --- open-loop traffic: sharded KV tier under faults + churn ---------- *)

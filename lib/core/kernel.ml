@@ -193,8 +193,6 @@ and rt_config = {
   discard_unacceptable : bool;
       (** alternative selective-reception semantics (Section 4.2):
           discard rather than buffer non-awaited messages *)
-  inline_sends : bool;
-      (** Section 8.2: compile-time-known-class send inlining *)
   codec_check : bool;
       (** round-trip every inter-node message through the binary wire
           codec, verifying serialisability (testing aid) *)

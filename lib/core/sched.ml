@@ -633,8 +633,7 @@ let send_inlined rt cls ~target ~pattern ~args () =
   let c = cost rt in
   let my_id = Machine.Node.id rt.node in
   if
-    rt.shared.config.inline_sends
-    && target.Value.node = my_id
+    target.Value.node = my_id
     && rt.shared.config.sched_kind = Hybrid
     (* With migration attached the receiver may be a forwarding stub or
        gated; the generic path knows how to handle both. *)

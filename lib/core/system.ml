@@ -20,7 +20,6 @@ let default_rt_config =
     stock_size = 2;
     placement = Round_robin;
     discard_unacceptable = false;
-    inline_sends = true;
     codec_check = false;
     gossip_interval_ns = 0;
     ma_cores = 4;

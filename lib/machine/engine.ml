@@ -21,15 +21,6 @@ let default_config =
     coalesce = None;
   }
 
-(* What actually travels through the fabric: bare AMs on a perfect
-   network, protocol frames under a fault plan — singly, or as one
-   multi-frame packet when the aggregation layer is on. *)
-type wire =
-  | Data of Am.t
-  | Framed of Reliable.frame
-  | Batch_data of Am.t list
-  | Batch_framed of Reliable.frame list
-
 type event =
   | Wake of int
   | Frame_rx of { src : int; dst : int; frame : Reliable.frame }
@@ -70,7 +61,9 @@ type handler = {
 and t = {
   config : config;
   topo : Network.Topology.t;
-  fabric : wire Network.Fabric.t;
+  fabric : unit Network.Fabric.t;
+      (** the fabric only computes times: a packet carries its size, not
+          its payload, which rides the event queue instead *)
   nodes : Node.t array;
   events : event Simcore.Event_queue.t;
   mutable handlers : handler array;
@@ -464,7 +457,7 @@ let transmit_frame t ~control ~now ~src ~dst (frame : Reliable.frame) =
     Reliable.frame_bytes
     + (match frame.Reliable.fr_data with Some am -> am.Am.size_bytes | None -> 0)
   in
-  let p = Network.Packet.make ~src ~dst ~size_bytes (Framed frame) in
+  let p = Network.Packet.make ~src ~dst ~size_bytes () in
   let eta, arrivals =
     if control then Network.Fabric.send_control t.fabric ~now p
     else Network.Fabric.send_flaky t.fabric ~now p
@@ -561,7 +554,7 @@ let flush_data t co ~src ~dst ~now ~cause =
       note_batch (Co_data co) ~src ~frames ~riders:(List.length riders) ~cause;
       let arrival =
         Network.Fabric.send t.fabric ~now
-          (Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_data ams))
+          (Network.Packet.make ~src ~dst ~size_bytes:bytes ())
       in
       let arrivals =
         staggered_arrivals t ~arrival (List.map am_wire_bytes ams)
@@ -611,7 +604,7 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
       note_batch (Co_framed co) ~src ~frames:n_frames
         ~riders:(List.length riders) ~cause;
       let p =
-        Network.Packet.make ~src ~dst ~size_bytes:bytes (Batch_framed frames)
+        Network.Packet.make ~src ~dst ~size_bytes:bytes ()
       in
       let eta, arrivals = Network.Fabric.send_flaky t.fabric ~now p in
       List.iter
@@ -645,7 +638,7 @@ let co_send_data t co ~src ~dst ~now am =
   | `Bypass ->
       let arrival =
         Network.Fabric.send t.fabric ~now
-          (Network.Packet.make ~src ~dst ~size_bytes:am.Am.size_bytes (Data am))
+          (Network.Packet.make ~src ~dst ~size_bytes:am.Am.size_bytes ())
       in
       emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
       deliver_remote t ~src ~dst ~arrival am;
@@ -828,7 +821,7 @@ and send_am_live t ~src ~dst ~handler:hid ~size_bytes payload =
     | None, _ ->
         let arrival =
           Network.Fabric.send t.fabric ~now
-            (Network.Packet.make ~src:(Node.id src) ~dst ~size_bytes (Data am))
+            (Network.Packet.make ~src:(Node.id src) ~dst ~size_bytes ())
         in
         emit_obs t ~time:arrival ~node:(Node.id src)
           (Obs_deliver { time = arrival; src = Node.id src; dst });

@@ -269,6 +269,78 @@ let test_shrink_minimal () =
   let min_v = Explore.shrink synthetic full in
   Alcotest.(check (array int)) "minimal reproducer" [| 0; 0; 1; 0; 0; 1 |] min_v
 
+(* --- the shared burst harness --------------------------------------- *)
+
+module Harness = Check.Harness
+
+(* One round of 4-message bursts on channels 0->3, 0->6, 1->4, 1->7,
+   2->5 and 2->0 of a perfect 8-node machine. *)
+let burst_machine () =
+  let m = Engine.create ~nodes:8 () in
+  let s = Harness.seq m in
+  Harness.send_rounds s ~rounds:1 ~start:0 ~burst:4;
+  (m, s)
+
+(* A node's delivery table, read and overwritten through the recovery
+   app's snapshot format. *)
+let table app node : (int * int) list =
+  Marshal.from_bytes (Option.get (app.Recover.Manager.a_snapshot node)) 0
+
+let set_table app node slice =
+  app.Recover.Manager.a_restore node (Marshal.to_bytes slice [])
+
+let test_harness_verdict () =
+  let m, s = burst_machine () in
+  Engine.run m;
+  let v = Harness.verdict s in
+  Alcotest.(check (list string)) "clean run" [] v.Harness.findings;
+  Alcotest.(check (list int))
+    "clean counts" [ 0; 0; 0 ]
+    [ v.Harness.lost; v.Harness.dup; v.Harness.reordered ];
+  let m, s = burst_machine () in
+  let app = Harness.recovery_app s in
+  (* Node 3 already expects message 1 from node 0, so message 0 arrives
+     out of order. *)
+  set_table app 3 [ (0, 1) ];
+  Engine.run m;
+  (* Then node 4 forgets one delivery from node 1 and node 5 counts one
+     more from node 2 than was sent. *)
+  let bump node ~src d =
+    set_table app node
+      (List.map
+         (fun (s, k) -> (s, if s = src then k + d else k))
+         (table app node))
+  in
+  bump 4 ~src:1 (-1);
+  bump 5 ~src:2 1;
+  let v = Harness.verdict s in
+  Alcotest.(check (list int))
+    "lost, dup, reordered" [ 1; 1; 1 ]
+    [ v.Harness.lost; v.Harness.dup; v.Harness.reordered ];
+  Alcotest.(check (list string))
+    "findings"
+    [
+      "channel 0->3: received 0, expected 1 (FIFO or exactly-once broken)";
+      "channel 1->4: delivered 3 of 4 sent";
+      "channel 2->5: delivered 5 of 4 sent";
+    ]
+    v.Harness.findings
+
+let test_harness_recovery_app () =
+  let m, s = burst_machine () in
+  Engine.run m;
+  let app = Harness.recovery_app s in
+  let before = table app 3 in
+  Alcotest.(check (list (pair int int))) "node 3's slice" [ (0, 4) ] before;
+  let snap = Option.get (app.Recover.Manager.a_snapshot 3) in
+  app.Recover.Manager.a_reset 3;
+  Alcotest.(check (list (pair int int))) "reset wipes it" [] (table app 3);
+  Alcotest.(check int) "reset shows as loss" 4 (Harness.verdict s).Harness.lost;
+  app.Recover.Manager.a_restore 3 snap;
+  Alcotest.(check (list (pair int int))) "restored" before (table app 3);
+  Alcotest.(check (list string))
+    "clean again" [] (Harness.verdict s).Harness.findings
+
 (* --- bit-identical replay across the catalog ----------------------- *)
 
 let test_replay_identical () =
@@ -335,6 +407,13 @@ let () =
             test_probe_dgc_forged_weight;
         ] );
       ("shrink", [ Alcotest.test_case "minimal" `Quick test_shrink_minimal ]);
+      ( "harness",
+        [
+          Alcotest.test_case "verdict flags sabotage" `Quick
+            test_harness_verdict;
+          Alcotest.test_case "recovery app round trip" `Quick
+            test_harness_recovery_app;
+        ] );
       ( "explore",
         [
           Alcotest.test_case "replay identical" `Quick test_replay_identical;
