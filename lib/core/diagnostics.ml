@@ -22,6 +22,7 @@ type report = {
   recovery_ns : int;
   forwarding_stubs : (int * int) list;
   forwarded_hops : (int * int) list;
+  unbalanced : (int * int * int) list;
 }
 
 let reason_string = function
@@ -60,11 +61,13 @@ let survey sys =
   let machine = System.machine sys in
   let stats = Machine.Engine.stats machine in
   let blocked = ref [] and buffered = ref [] and chunk_waiters = ref 0 in
-  let stubs = ref [] and hops = ref [] in
+  let stubs = ref [] and hops = ref [] and unbalanced = ref [] in
   let low_water = ref max_int in
   for node = 0 to System.node_count sys - 1 do
     let rt = System.rt sys node in
     chunk_waiters := !chunk_waiters + Sched.chunk_waiter_count rt;
+    if rt.Kernel.depth <> 0 || rt.Kernel.act_len <> 0 then
+      unbalanced := (node, rt.Kernel.depth, rt.Kernel.act_len) :: !unbalanced;
     if rt.Kernel.stock_low_water < !low_water then
       low_water := rt.Kernel.stock_low_water;
     let node_stubs = ref 0 in
@@ -106,11 +109,12 @@ let survey sys =
     recovery_ns = Simcore.Stats.get stats "recover.recovery_ns";
     forwarding_stubs = List.rev !stubs;
     forwarded_hops = List.rev !hops;
+    unbalanced = List.rev !unbalanced;
   }
 
 let is_clean r =
   r.blocked = [] && r.buffered = [] && r.chunk_waiters = 0 && r.in_flight = 0
-  && r.coalesce_buffered = 0
+  && r.coalesce_buffered = 0 && r.unbalanced = []
 
 let pp_stuck ppf s =
   Format.fprintf ppf "%a %s [%s]%s%s" Value.pp_addr s.addr s.cls_name s.mode
@@ -177,6 +181,12 @@ let pp ppf r =
         "%d message(s) still parked in aggregation buffers (no idle or \
          deadline flush reached them)@,"
         r.coalesce_buffered;
+    List.iter
+      (fun (node, depth, acts) ->
+        Format.fprintf ppf
+          "node %d left at stack depth %d with %d activation(s) open@," node
+          depth acts)
+      r.unbalanced;
     pp_migration ppf r;
     Format.fprintf ppf "@]"
   end

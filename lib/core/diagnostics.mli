@@ -60,13 +60,19 @@ type report = {
       (** (node, messages re-posted by stubs on that node) over the run —
           from the "migrate.forward.node<i>" counters. Chain-compression
           checks assert this stays near the migration count. *)
+  unbalanced : (int * int * int) list;
+      (** (node, stack depth, open activations) for every node whose
+          invocation bookkeeping did not return to zero: at quiescence
+          no method runs, so a nonzero depth or activation-stack entry
+          is a scheduler bug. Counts against {!is_clean}. *)
 }
 
 val survey : System.t -> report
 
 val is_clean : report -> bool
 (** No suspended contexts, no buffered messages, no stalled requesters,
-    no message still unacknowledged by the reliable layer, and no
-    message stranded in an aggregation buffer. *)
+    no message still unacknowledged by the reliable layer, no message
+    stranded in an aggregation buffer, and no node with unbalanced
+    invocation bookkeeping. *)
 
 val pp : Format.formatter -> report -> unit

@@ -148,6 +148,9 @@ and obj = {
 and blocked = {
   bk : (resume, unit) Effect.Deep.continuation;
   owner : obj;  (** object whose method is suspended *)
+  bgroup : int;
+      (** compatibility group of the suspended multiactive activation;
+          -1 for a serialized method *)
   why : block_reason;  (** what the context is waiting for (diagnostics) *)
 }
 
@@ -339,6 +342,17 @@ and node_rt = {
       (** instruction-charge divisor while inside an overlapped
           multiactive activation; 1 everywhere else, so the serialized
           runtime is bit-identical to the pre-multiactive build *)
+  mutable fiber_handler : (unit, unit) Effect.Deep.handler option;
+      (** the one effect handler every method fiber on this node runs
+          under, built by {!Sched} at the node's first invocation *)
+  mutable act_objs : obj array;
+  mutable act_groups : int array;
+  mutable act_len : int;
+      (** the activation stack: one [(object, group)] entry per method
+          fiber currently on this node's stack, innermost at
+          [act_len - 1] (group -1 for a serialized invocation). It tells
+          the shared handler which object finished or blocked. Empty
+          arrays until the first invocation; only {!Sched} touches it. *)
 }
 
 type _ Effect.t += Block : block_reason -> resume Effect.t
@@ -414,6 +428,25 @@ let make_counters stats =
     c_ma_queued = cell "ma.queued";
     c_ma_overlap = cell "ma.overlap";
     c_ma_conflict = cell "ma.conflict";
+  }
+
+(* Filler for vacated activation-stack slots, so a finished method's
+   object is not kept reachable by the stack; never dispatched to. *)
+let no_obj =
+  {
+    self = { Value.node = -1; slot = -1 };
+    phys_slot = -1;
+    cls = None;
+    state = [||];
+    vftp = { entries = [||]; default = No_method; vft_kind = Vft_fault };
+    mq = Queue.create ();
+    in_sched_q = false;
+    blocked = None;
+    initialized = false;
+    pending_ctor_args = [];
+    exported = false;
+    gc_pinned = false;
+    ma = None;
   }
 
 let ctrs rt = rt.shared.ctrs

@@ -142,6 +142,51 @@ let ma_compatible spec m group =
     m.mar_running;
   !ok
 
+(* --- the activation stack and the node's one effect handler ---
+
+   The paper's dormant send is a plain call: nothing is heap-allocated
+   unless the method blocks. The host analogue: every method fiber on a
+   node runs under one handler, built at the node's first invocation,
+   and the per-node activation stack tells it which object finished
+   (run [end_of_method]) or blocked (park a context for it). An entry is
+   pushed when a fiber starts or resumes and popped when it returns,
+   raises or blocks, so the stack nests exactly like the fibers. *)
+
+(* Test-only corruption hook: a finishing method leaves its activation
+   entry behind, the imbalance {!Diagnostics.survey} must flag. Never
+   set outside tests. *)
+let unsafe_leak_activation = ref false
+
+let act_push rt obj group =
+  let n = rt.act_len in
+  if n = Array.length rt.act_objs then begin
+    let cap = if n = 0 then 16 else 2 * n in
+    let objs = Array.make cap no_obj and groups = Array.make cap 0 in
+    Array.blit rt.act_objs 0 objs 0 n;
+    Array.blit rt.act_groups 0 groups 0 n;
+    rt.act_objs <- objs;
+    rt.act_groups <- groups
+  end;
+  rt.act_objs.(n) <- obj;
+  rt.act_groups.(n) <- group;
+  rt.act_len <- n + 1
+
+let act_pop rt =
+  let n = rt.act_len - 1 in
+  rt.act_objs.(n) <- no_obj;
+  rt.act_len <- n
+
+(* The fiber body: static, so starting a method allocates only its
+   context and this argument tuple. *)
+let run_body (impl, ctx, msg) = impl ctx msg
+
+let lower_depth rt = rt.depth <- rt.depth - 1
+
+let reraise_after f x e =
+  let bt = Printexc.get_raw_backtrace () in
+  f x;
+  Printexc.raise_with_backtrace e bt
+
 let rec schedule_pending rt obj =
   if not obj.in_sched_q then begin
     obj.in_sched_q <- true;
@@ -197,26 +242,50 @@ and run_invoke rt obj impl msg ~init_first =
   let c = cost rt in
   charge rt c.Cost_model.switch_vft;
   obj.vftp <- rt.shared.enqueue_all;
-  let ctx = { rt; self_obj = obj } in
-  let finally () = rt.depth <- rt.depth - 1 in
-  Fun.protect ~finally (fun () ->
-      Effect.Deep.match_with
-        (fun () ->
-          if init_first then do_init rt obj;
-          impl ctx msg)
-        ()
+  run_fiber rt obj ~group:(-1) impl msg ~init_first
+
+(* Runs [impl] on [obj] as a fiber under the node's handler. The caller
+   raised [depth]; it is lowered here however the fiber leaves. *)
+and run_fiber rt obj ~group impl msg ~init_first =
+  match
+    if init_first then do_init rt obj;
+    act_push rt obj group;
+    Effect.Deep.match_with run_body
+      (impl, { rt; self_obj = obj }, msg)
+      (fiber_handler rt)
+  with
+  | () -> lower_depth rt
+  | exception e -> reraise_after lower_depth rt e
+
+and fiber_handler rt =
+  match rt.fiber_handler with
+  | Some h -> h
+  | None ->
+      let h =
         {
-          retc = (fun () -> end_of_method rt obj);
-          exnc = raise;
+          Effect.Deep.retc =
+            (fun () ->
+              let n = rt.act_len - 1 in
+              let obj = rt.act_objs.(n) and group = rt.act_groups.(n) in
+              if not !unsafe_leak_activation then act_pop rt;
+              if group < 0 then end_of_method rt obj
+              else ma_end_of_activation rt obj ~group);
+          exnc =
+            (fun e ->
+              act_pop rt;
+              raise e);
           effc =
             (fun (type a) (eff : a Effect.t) ->
               match eff with
               | Block reason ->
                   Some
                     (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      handle_block rt obj reason k)
+                      handle_block rt reason k)
               | _ -> None);
-        })
+        }
+      in
+      rt.fiber_handler <- Some h;
+      h
 
 (* Table 2's tail: check the message queue, switch the VFTP back, poll
    for remote messages, adjust the stack pointer and return. *)
@@ -232,11 +301,16 @@ and end_of_method rt obj =
   Machine.Engine.poll (machine rt) rt.node;
   charge rt c.Cost_model.stack_adjust_return
 
+(* The innermost fiber blocked: its activation entry names the object
+   (and group) whose context is parked. *)
 and handle_block :
-    node_rt -> obj -> block_reason -> (resume, unit) Effect.Deep.continuation
-    -> unit =
- fun rt obj reason k ->
-  let b = { bk = k; owner = obj; why = reason } in
+    node_rt -> block_reason -> (resume, unit) Effect.Deep.continuation -> unit
+    =
+ fun rt reason k ->
+  let n = rt.act_len - 1 in
+  let obj = rt.act_objs.(n) and group = rt.act_groups.(n) in
+  act_pop rt;
+  let b = { bk = k; owner = obj; bgroup = group; why = reason } in
   let c = cost rt in
   charge rt c.Cost_model.context_save;
   Machine.Node.heap_alloc_words rt.node 16;
@@ -271,8 +345,10 @@ and handle_block :
 and resume rt b r =
   charge rt (cost rt).Cost_model.context_restore;
   rt.depth <- rt.depth + 1;
-  let finally () = rt.depth <- rt.depth - 1 in
-  Fun.protect ~finally (fun () -> Effect.Deep.continue b.bk r)
+  act_push rt b.owner b.bgroup;
+  match Effect.Deep.continue b.bk r with
+  | () -> lower_depth rt
+  | exception e -> reraise_after lower_depth rt e
 
 and local_deliver ?(origin = `Local) rt obj msg =
   let c = cost rt in
@@ -434,29 +510,10 @@ and ma_run_activation rt obj impl ~group msg =
     m.mar_queues;
   rt.ma_scale <-
     min (min !avail spec.ma_budget) rt.shared.config.ma_cores;
-  let ctx = { rt; self_obj = obj } in
-  let finally () =
-    rt.depth <- rt.depth - 1;
-    rt.ma_scale <- prev_scale
-  in
-  Fun.protect ~finally (fun () ->
-      Effect.Deep.match_with
-        (fun () ->
-          if not obj.initialized then do_init rt obj;
-          impl ctx msg)
-        ()
-        {
-          retc = (fun () -> ma_end_of_activation rt obj ~group);
-          exnc = raise;
-          effc =
-            (fun (type a) (eff : a Effect.t) ->
-              match eff with
-              | Block reason ->
-                  Some
-                    (fun (k : (a, unit) Effect.Deep.continuation) ->
-                      handle_block rt obj reason k)
-              | _ -> None);
-        })
+  match run_fiber rt obj ~group impl msg ~init_first:(not obj.initialized) with
+  | () -> rt.ma_scale <- prev_scale
+  | exception e ->
+      reraise_after (fun scale -> rt.ma_scale <- scale) prev_scale e
 
 and ma_end_of_activation rt obj ~group =
   let c = cost rt in
@@ -663,6 +720,13 @@ let send_inlined rt cls ~target ~pattern ~args () =
   end
   else send rt ~target ~pattern ~args ()
 
+let leave_optimized rt ~leaf =
+  rt.depth <- rt.depth - 1;
+  if leaf then begin
+    rt.leaf_depth <- rt.leaf_depth - 1;
+    if rt.leaf_depth = 0 then Machine.Node.set_interrupts_masked rt.node false
+  end
+
 let send_optimized rt cls ~target ~pattern ~args ~known_local ~leaf ~stateless
     ~no_poll () =
   let c = cost rt in
@@ -699,37 +763,32 @@ let send_optimized rt cls ~target ~pattern ~args ~known_local ~leaf ~stateless
            restriction; hold deliveries until the leaf body is done. *)
         Machine.Node.set_interrupts_masked rt.node true
       end;
-      let finally () =
-        rt.depth <- rt.depth - 1;
-        if leaf then begin
-          rt.leaf_depth <- rt.leaf_depth - 1;
-          if rt.leaf_depth = 0 then
-            Machine.Node.set_interrupts_masked rt.node false
+      match
+        if not leaf then begin
+          (* Without the leaf guarantee the VFTP must still be switched
+             around the body, as in the generic path. *)
+          charge rt (2 * c.Cost_model.switch_vft);
+          obj.vftp <- rt.shared.enqueue_all;
+          if not obj.initialized then do_init rt obj;
+          impl { rt; self_obj = obj } msg;
+          obj.vftp <- dormant
         end
-      in
-      Fun.protect ~finally (fun () ->
-          if not leaf then begin
-            (* Without the leaf guarantee the VFTP must still be switched
-               around the body, as in the generic path. *)
-            charge rt (2 * c.Cost_model.switch_vft);
-            obj.vftp <- rt.shared.enqueue_all;
-            if not obj.initialized then do_init rt obj;
-            impl { rt; self_obj = obj } msg;
-            obj.vftp <- dormant
-          end
-          else begin
-            if not obj.initialized then do_init rt obj;
-            impl { rt; self_obj = obj } msg
-          end;
-          if not stateless then begin
-            charge rt c.Cost_model.check_message_queue;
-            if not (Queue.is_empty obj.mq) then schedule_pending rt obj
-          end;
-          if not no_poll then begin
-            charge rt c.Cost_model.poll_remote;
-            Machine.Engine.poll (machine rt) rt.node
-          end;
-          charge rt c.Cost_model.stack_adjust_return)
+        else begin
+          if not obj.initialized then do_init rt obj;
+          impl { rt; self_obj = obj } msg
+        end;
+        if not stateless then begin
+          charge rt c.Cost_model.check_message_queue;
+          if not (Queue.is_empty obj.mq) then schedule_pending rt obj
+        end;
+        if not no_poll then begin
+          charge rt c.Cost_model.poll_remote;
+          Machine.Engine.poll (machine rt) rt.node
+        end;
+        charge rt c.Cost_model.stack_adjust_return
+      with
+      | () -> leave_optimized rt ~leaf
+      | exception e -> reraise_after (fun leaf -> leave_optimized rt ~leaf) leaf e
     end
   end
 

@@ -145,3 +145,8 @@ val ma_unsafe_force_admit : bool ref
     compatibility (budget and drain checks still apply), manufacturing
     exactly the serialization violations the monitor probe and the
     "ma.conflict" counter exist to catch. Never set outside tests. *)
+
+val unsafe_leak_activation : bool ref
+(** Test-only corruption hook: while set, a method that returns leaves
+    its entry on the node's activation stack, the imbalance
+    {!Diagnostics.survey} exists to flag. Never set outside tests. *)

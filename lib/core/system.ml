@@ -164,6 +164,10 @@ let boot ?(machine_config = Engine.default_config)
           Simcore.Rng.create
             ~seed:(((Engine.config machine).Engine.seed * 1_000_003) + i);
         ma_scale = 1;
+        fiber_handler = None;
+        act_objs = [||];
+        act_groups = [||];
+        act_len = 0;
       }
     in
     Machine.Node.set_local node (Rt rt);

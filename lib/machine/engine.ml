@@ -848,14 +848,9 @@ let dispatch t node am =
 let redispatch t ~node am = dispatch t t.nodes.(node) am
 
 let poll t node =
-  let rec drain () =
-    match Node.inbox_pop_ready node with
-    | Some (_, am) ->
-        dispatch t node am;
-        drain ()
-    | None -> ()
-  in
-  drain ()
+  while Node.inbox_min node <= Node.now node do
+    dispatch t node (Node.inbox_take node)
+  done
 
 (* nCUBE/2-style delivery: message arrival interrupts the computation.
    Interrupts are taken only at explicit interrupt points — user-level
@@ -864,16 +859,23 @@ let poll t node =
    masked, as on a real machine. Re-entrant interrupts are masked while
    a handler runs. *)
 let interrupt_point t node =
-  if t.config.delivery = Interrupt && not (Node.interrupts_masked node) then
-    match Node.inbox_pop_ready node with
-    | None -> ()
-    | Some (_, am) ->
-        Node.set_interrupts_masked node true;
-        Fun.protect
-          ~finally:(fun () -> Node.set_interrupts_masked node false)
-          (fun () ->
-            dispatch t node am;
-            poll t node)
+  if
+    t.config.delivery = Interrupt
+    && (not (Node.interrupts_masked node))
+    && Node.inbox_min node <= Node.now node
+  then begin
+    let am = Node.inbox_take node in
+    Node.set_interrupts_masked node true;
+    match
+      dispatch t node am;
+      poll t node
+    with
+    | () -> Node.set_interrupts_masked node false
+    | exception e ->
+        let bt = Printexc.get_raw_backtrace () in
+        Node.set_interrupts_masked node false;
+        Printexc.raise_with_backtrace e bt
+  end
 
 let post t node thunk =
   (* A dead machine refuses work: the thunk is not queued (the run
@@ -900,14 +902,16 @@ let reschedule_or_idle t node =
     add_event t ~time:(Node.now node) (Wake (Node.id node))
   end
   else
-    match Node.inbox_next_arrival node with
-    | Some arrival ->
-        let time = max arrival (Node.now node) in
-        Node.set_next_wake node time;
-        add_event t ~time (Wake (Node.id node))
-    | None ->
-        Node.set_next_wake node max_int;
-        Node.set_idle node true
+    let arrival = Node.inbox_min node in
+    if arrival < max_int then begin
+      let time = max arrival (Node.now node) in
+      Node.set_next_wake node time;
+      add_event t ~time (Wake (Node.id node))
+    end
+    else begin
+      Node.set_next_wake node max_int;
+      Node.set_idle node true
+    end
 
 let set_observer t obs = t.observer <- obs
 
@@ -1014,16 +1018,14 @@ let run ?(max_slices = max_int) t =
     if !slices > max_slices then
       failwith "Engine.run: max_slices exceeded (livelock?)"
   in
-  let rec loop () =
-    match Simcore.Event_queue.pop t.events with
-    | None -> ()
-    | Some (time, ev) ->
-        t.vnow <- max t.vnow time;
-        exec_event t ~time ~count_slice ev;
-        t.evcount <- t.evcount + 1;
-        loop ()
-  in
-  loop ()
+  let q = t.events in
+  while not (Simcore.Event_queue.is_empty q) do
+    let time = Simcore.Event_queue.min_time q in
+    let ev = Simcore.Event_queue.take q in
+    if time > t.vnow then t.vnow <- time;
+    exec_event t ~time ~count_slice ev;
+    t.evcount <- t.evcount + 1
+  done
 
 (* --- parallel run: conservative lookahead over sharded nodes ------- *)
 
@@ -1133,6 +1135,9 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
   let worker d =
     Simcore.Domain_ctx.set d;
     let q = par.p_queues.(d) in
+    let count_slice () =
+      par.p_slices.(d * pad) <- par.p_slices.(d * pad) + 1
+    in
     let running = ref true in
     while !running do
       (try
@@ -1163,10 +1168,7 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
                  add_event t ~time:it.x_time
                    (Frame_rx { src = it.x_src; dst = it.x_dst; frame }))
            items;
-         par.p_mins.(d * pad) <-
-           (match Simcore.Event_queue.peek_time q with
-           | Some tm -> tm
-           | None -> max_int)
+         par.p_mins.(d * pad) <- Simcore.Event_queue.min_time q
        with e -> record_err d e);
       (* Publish this domain's error flag and slice count before the
          barrier: the verdict below reads only these boundary-published
@@ -1205,22 +1207,12 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
           let horizon = !m + par.p_lookahead in
           par.p_horizon.(d * pad) <- horizon;
           (try
-             let exec = ref true in
-             while !exec do
-               match Simcore.Event_queue.peek_time q with
-               | Some tm when tm < horizon -> (
-                   match Simcore.Event_queue.pop q with
-                   | None -> exec := false
-                   | Some (time, ev) ->
-                       if time > par.p_vnow.(d * pad) then
-                         par.p_vnow.(d * pad) <- time;
-                       par.p_events.(d * pad) <- par.p_events.(d * pad) + 1;
-                       exec_event t ~time
-                         ~count_slice:(fun () ->
-                           par.p_slices.(d * pad) <-
-                             par.p_slices.(d * pad) + 1)
-                         ev)
-               | _ -> exec := false
+             while Simcore.Event_queue.min_time q < horizon do
+               let time = Simcore.Event_queue.min_time q in
+               let ev = Simcore.Event_queue.take q in
+               if time > par.p_vnow.(d * pad) then par.p_vnow.(d * pad) <- time;
+               par.p_events.(d * pad) <- par.p_events.(d * pad) + 1;
+               exec_event t ~time ~count_slice ev
              done
            with e -> record_err d e);
           Simcore.Barrier.await par.p_barrier ~me:d

@@ -62,12 +62,8 @@ let set_inbox_tie_break t choose =
              legal.(if k < 0 || k >= n then 0 else k))
        choose)
 
-let inbox_pop_ready t =
-  match Simcore.Event_queue.peek_time t.inbox with
-  | Some arrival when arrival <= now t -> Simcore.Event_queue.pop t.inbox
-  | Some _ | None -> None
-
-let inbox_next_arrival t = Simcore.Event_queue.peek_time t.inbox
+let inbox_min t = Simcore.Event_queue.min_time t.inbox
+let inbox_take t = Simcore.Event_queue.take t.inbox
 let inbox_size t = Simcore.Event_queue.size t.inbox
 let inbox_iter f t = Simcore.Event_queue.iter (fun _ am -> f am) t.inbox
 let runq_push t thunk = Queue.push thunk t.runq

@@ -41,10 +41,13 @@ val set_inbox_tie_break : t -> (int -> int) option -> unit
     polls first. The schedule explorer perturbs poll order through this
     hook. *)
 
-val inbox_pop_ready : t -> (Simcore.Time.t * Am.t) option
-(** Pops the oldest message whose arrival time is <= the node clock. *)
+val inbox_min : t -> Simcore.Time.t
+(** Arrival time of the oldest message, or [max_int] when the inbox is
+    empty. The message is ready once this is <= {!now}. *)
 
-val inbox_next_arrival : t -> Simcore.Time.t option
+val inbox_take : t -> Am.t
+(** Removes the oldest message (the one {!inbox_min} timed), whether or
+    not it is ready. Raises [Invalid_argument] on an empty inbox. *)
 
 val inbox_size : t -> int
 

@@ -1,80 +1,128 @@
-(* Binary min-heap over (time, seq) keys. [seq] is a monotonically
-   increasing insertion counter, so ties in [time] break FIFO.
+(* 4-ary min-heap over (time, seq) keys, stored as three parallel arrays
+   so that adding and taking an event allocate nothing. [seq] is a
+   monotonically increasing insertion counter, so ties in [time] break
+   FIFO. Sifting moves a hole instead of swapping entries.
 
-   Slots are [option]s so a dequeued entry is dropped the moment it
-   leaves the heap: the queue holds closures and whole messages, and
-   retaining the popped entry at [heap.(len)] until it happened to be
-   overwritten kept arbitrarily large object graphs alive. *)
+   A vacated value slot is overwritten with [dummy] at once: the queue
+   holds closures and whole messages, and a taken value left behind in
+   the array until it happened to be overwritten kept arbitrarily large
+   object graphs alive.
 
-type 'a entry = { time : Time.t; seq : int; value : 'a }
+   [dummy] is an immediate standing in for an ['a] that is never read.
+   [values] is only ever accessed by the polymorphic code of this module
+   (which checks the array tag on every access), and the arrays handed
+   to a tie-break chooser are built from real values, so a [float]
+   payload never meets a float-array access of this array. *)
 
 type 'a t = {
-  mutable heap : 'a entry option array; (* [0, len) is a valid heap *)
+  mutable times : int array;
+  mutable seqs : int array;
+  mutable values : 'a array;  (* [0, len) is a valid heap *)
   mutable len : int;
   mutable next_seq : int;
   mutable tie_break : ('a array -> int) option;
 }
 
-let create () = { heap = [||]; len = 0; next_seq = 0; tie_break = None }
+let dummy () : 'a = Obj.magic 0
+
+let create () =
+  {
+    times = [||];
+    seqs = [||];
+    values = [||];
+    len = 0;
+    next_seq = 0;
+    tie_break = None;
+  }
 
 let set_tie_break q choose = q.tie_break <- choose
 
-let get heap i =
-  match heap.(i) with Some e -> e | None -> assert false (* i < len *)
-
-let less a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow q =
-  let cap = Array.length q.heap in
+  let cap = Array.length q.times in
   let cap' = if cap = 0 then 16 else cap * 2 in
-  let heap' = Array.make cap' None in
-  Array.blit q.heap 0 heap' 0 q.len;
-  q.heap <- heap'
+  let times = Array.make cap' 0
+  and seqs = Array.make cap' 0
+  and values = Array.make cap' (dummy ()) in
+  Array.blit q.times 0 times 0 q.len;
+  Array.blit q.seqs 0 seqs 0 q.len;
+  Array.blit q.values 0 values 0 q.len;
+  q.times <- times;
+  q.seqs <- seqs;
+  q.values <- values
 
-let rec sift_up heap i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if less (get heap i) (get heap parent) then begin
-      let tmp = heap.(i) in
-      heap.(i) <- heap.(parent);
-      heap.(parent) <- tmp;
-      sift_up heap parent
+let[@inline] less (t1 : int) (s1 : int) t2 s2 = t1 < t2 || (t1 = t2 && s1 < s2)
+
+let[@inline] place q i time seq value =
+  q.times.(i) <- time;
+  q.seqs.(i) <- seq;
+  q.values.(i) <- value
+
+let[@inline] move q ~src ~dst =
+  place q dst q.times.(src) q.seqs.(src) q.values.(src)
+
+(* Moves the hole at [i] up until (time, seq) fits, and fills it. *)
+let sift_up q i time seq value =
+  let i = ref i in
+  let moving = ref true in
+  while !moving && !i > 0 do
+    let parent = (!i - 1) lsr 2 in
+    if less time seq q.times.(parent) q.seqs.(parent) then begin
+      move q ~src:parent ~dst:!i;
+      i := parent
     end
-  end
+    else moving := false
+  done;
+  place q !i time seq value
 
-let rec sift_down heap len i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = if l < len && less (get heap l) (get heap i) then l else i in
-  let smallest =
-    if r < len && less (get heap r) (get heap smallest) then r else smallest
-  in
-  if smallest <> i then begin
-    let tmp = heap.(i) in
-    heap.(i) <- heap.(smallest);
-    heap.(smallest) <- tmp;
-    sift_down heap len smallest
-  end
+(* Moves the hole at [i] down until (time, seq) fits, and fills it.
+   Returns the final index. *)
+let sift_down q i time seq value =
+  let len = q.len in
+  let i = ref i in
+  let moving = ref true in
+  while !moving do
+    let first = (4 * !i) + 1 in
+    if first >= len then moving := false
+    else begin
+      let best = ref first in
+      let last = if first + 3 < len then first + 3 else len - 1 in
+      for c = first + 1 to last do
+        if less q.times.(c) q.seqs.(c) q.times.(!best) q.seqs.(!best) then
+          best := c
+      done;
+      let b = !best in
+      if less q.times.(b) q.seqs.(b) time seq then begin
+        move q ~src:b ~dst:!i;
+        i := b
+      end
+      else moving := false
+    end
+  done;
+  place q !i time seq value;
+  !i
 
 let add q ~time value =
-  let entry = { time; seq = q.next_seq; value } in
-  q.next_seq <- q.next_seq + 1;
-  if q.len = Array.length q.heap then grow q;
-  q.heap.(q.len) <- Some entry;
-  q.len <- q.len + 1;
-  sift_up q.heap (q.len - 1)
+  let seq = q.next_seq in
+  q.next_seq <- seq + 1;
+  if q.len = Array.length q.times then grow q;
+  let i = q.len in
+  q.len <- i + 1;
+  sift_up q i time seq value
 
-(* Remove the entry at heap index [i], nulling the vacated slot. *)
+(* Removes the entry at heap index [i] and returns its value; the last
+   entry refills the hole and the vacated slot is cleared. *)
 let remove_at q i =
-  let e = get q.heap i in
-  q.len <- q.len - 1;
-  if i < q.len then begin
-    q.heap.(i) <- q.heap.(q.len);
-    q.heap.(q.len) <- None;
-    sift_down q.heap q.len i;
-    sift_up q.heap i
+  let v = q.values.(i) in
+  let last = q.len - 1 in
+  q.len <- last;
+  if i < last then begin
+    let time = q.times.(last) and seq = q.seqs.(last) in
+    let value = q.values.(last) in
+    q.values.(last) <- dummy ();
+    if sift_down q i time seq value = i then sift_up q i time seq value
   end
-  else q.heap.(i) <- None;
-  e
+  else q.values.(i) <- dummy ();
+  v
 
 (* All entries sharing the minimal timestamp form a connected subtree
    rooted at index 0 (an equal-time entry's ancestors can only carry the
@@ -83,59 +131,58 @@ let remove_at q i =
 let min_time_indices q tmin =
   let acc = ref [] in
   let rec visit i =
-    if i < q.len && (get q.heap i).time = tmin then begin
+    if i < q.len && q.times.(i) = tmin then begin
       acc := i :: !acc;
-      visit ((2 * i) + 1);
-      visit ((2 * i) + 2)
+      for c = (4 * i) + 1 to (4 * i) + 4 do
+        visit c
+      done
     end
   in
   visit 0;
   !acc
 
+let chosen_index q choose =
+  match min_time_indices q q.times.(0) with
+  | [] | [ _ ] -> 0
+  | candidates ->
+      (* Deterministic candidate order: by insertion sequence, so choice 0
+         is the FIFO default and a replayed choice k lands on the same
+         event regardless of heap layout. *)
+      let by_seq =
+        Array.of_list
+          (List.sort
+             (fun a b -> Int.compare q.seqs.(a) q.seqs.(b))
+             candidates)
+      in
+      let k = choose (Array.map (fun i -> q.values.(i)) by_seq) in
+      by_seq.(if k < 0 || k >= Array.length by_seq then 0 else k)
+
+let min_time q = if q.len = 0 then max_int else q.times.(0)
+
+let take q =
+  if q.len = 0 then invalid_arg "Event_queue.take: empty queue";
+  match q.tie_break with
+  | None -> remove_at q 0
+  | Some choose -> remove_at q (chosen_index q choose)
+
 let pop q =
   if q.len = 0 then None
   else
-    let chosen =
-      match q.tie_break with
-      | None -> 0
-      | Some choose -> (
-          let tmin = (get q.heap 0).time in
-          match min_time_indices q tmin with
-          | [] | [ _ ] -> 0
-          | candidates ->
-              (* Deterministic candidate order: by insertion sequence, so
-                 choice 0 is the FIFO default and a replayed choice k
-                 lands on the same event regardless of heap layout. *)
-              let by_seq =
-                List.sort
-                  (fun a b ->
-                    Int.compare (get q.heap a).seq (get q.heap b).seq)
-                  candidates
-              in
-              let values =
-                Array.of_list
-                  (List.map (fun i -> (get q.heap i).value) by_seq)
-              in
-              let n = Array.length values in
-              let k = choose values in
-              let k = if k < 0 || k >= n then 0 else k in
-              List.nth by_seq k)
-    in
-    let e = remove_at q chosen in
-    Some (e.time, e.value)
+    let time = q.times.(0) in
+    Some (time, take q)
 
 let iter f q =
   for i = 0 to q.len - 1 do
-    let e = get q.heap i in
-    f e.time e.value
+    f q.times.(i) q.values.(i)
   done
 
-let peek_time q = if q.len = 0 then None else Some (get q.heap 0).time
 let size q = q.len
 let is_empty q = q.len = 0
 
 let clear q =
-  (* Drop the whole array: resetting [len] alone kept every queued entry
+  (* Drop the whole arrays: resetting [len] alone kept every queued value
      reachable until the slots were overwritten. *)
-  q.heap <- [||];
+  q.times <- [||];
+  q.seqs <- [||];
+  q.values <- [||];
   q.len <- 0

@@ -8,14 +8,26 @@ type 'a t
 val create : unit -> 'a t
 
 val add : 'a t -> time:Time.t -> 'a -> unit
-(** [add q ~time ev] schedules [ev] at [time]. O(log n). *)
+(** [add q ~time ev] schedules [ev] at [time]. O(log n); allocates
+    nothing once the queue has grown to its working size. *)
+
+val min_time : 'a t -> Time.t
+(** Timestamp of the earliest event, or [max_int] when the queue is
+    empty. The event {!take} removes next carries this timestamp, with
+    or without a tie-break. Allocation-free. *)
+
+val take : 'a t -> 'a
+(** Removes and returns the earliest event (under the tie-break, if one
+    is set). Allocation-free without a tie-break. Raises
+    [Invalid_argument] on an empty queue. *)
 
 val pop : 'a t -> (Time.t * 'a) option
-(** Removes and returns the earliest event, or [None] if empty. *)
+(** Removes and returns the earliest event, or [None] if empty:
+    {!min_time} and {!take} in one call. *)
 
 val set_tie_break : 'a t -> ('a array -> int) option -> unit
 (** [set_tie_break q (Some choose)] lets [choose] pick among
-    same-timestamp events on [pop]: when two or more events share the
+    same-timestamp events on {!take}: when two or more events share the
     minimal time, [choose candidates] receives their values ordered by
     insertion sequence and returns the index to pop. Returning [0] is
     the FIFO default; out-of-range picks fall back to 0. Callers can
@@ -24,9 +36,6 @@ val set_tie_break : 'a t -> ('a array -> int) option -> unit
     [None] (the initial state) restores plain FIFO. Used by the
     schedule explorer to perturb orderings the simulation treats as
     concurrent. *)
-
-val peek_time : 'a t -> Time.t option
-(** Timestamp of the earliest event without removing it. *)
 
 val iter : (Time.t -> 'a -> unit) -> 'a t -> unit
 (** Visits every queued event in unspecified (heap) order, without

@@ -104,6 +104,58 @@ let test_chunk_stall_and_resume () =
   Alcotest.(check int) "stock replenished per creation" 5
     (Simcore.Stats.get st "chunk.refill")
 
+let p_outer = Pattern.intern "tc_outer" ~arity:2
+
+(* A nested dormant invocation stalls on an empty stock: the inner
+   spawner's fiber, beneath the outer method's, is parked and resumed by
+   chunk replies. Every invocation then closes: depth and activation
+   stack are back at zero on both nodes. *)
+let test_nested_stall_balanced () =
+  let counter = counter_cls () in
+  let spawner =
+    Class_def.define ~name:"tc_inner_burst"
+      ~methods:
+        [
+          ( p_go,
+            fun ctx msg ->
+              for _ = 1 to Value.to_int (Message.arg msg 0) do
+                let child = Ctx.create_on ctx ~target:1 counter [ Value.int 0 ] in
+                Ctx.send ctx child p_inc []
+              done );
+        ]
+      ()
+  in
+  let outer_done = ref false in
+  let outer =
+    Class_def.define ~name:"tc_outer"
+      ~methods:
+        [
+          ( p_outer,
+            fun ctx msg ->
+              Ctx.send ctx (Value.to_addr (Message.arg msg 0)) p_go
+                [ Message.arg msg 1 ];
+              outer_done := true );
+        ]
+      ()
+  in
+  let rt_config = { System.default_rt_config with Kernel.stock_size = 1 } in
+  let sys =
+    System.boot ~rt_config ~nodes:2 ~classes:[ counter; spawner; outer ] ()
+  in
+  let sp = System.create_root sys ~node:0 spawner [] in
+  let o = System.create_root sys ~node:0 outer [] in
+  System.send_boot sys o p_outer [ Value.addr sp; Value.int 4 ];
+  System.run sys;
+  let st = System.stats sys in
+  Alcotest.(check bool) "outer method finished" true !outer_done;
+  Alcotest.(check int) "all created" 4 (Simcore.Stats.get st "create.remote");
+  Alcotest.(check bool) "the nested invocation stalled" true
+    (Simcore.Stats.get st "chunk.stall" >= 3);
+  let r = Diagnostics.survey sys in
+  Alcotest.(check (list (triple int int int)))
+    "no open invocation" [] r.Diagnostics.unbalanced;
+  Alcotest.(check bool) "clean" true (Diagnostics.is_clean r)
+
 let p_make = Pattern.intern "tc_make" ~arity:2
 
 (* A one-shot creator: [tc_make target tag] creates a counter on
@@ -334,5 +386,7 @@ let () =
             test_chunk_waiters_per_target_fifo;
           Alcotest.test_case "waiters scale linearly" `Quick
             test_chunk_waiters_scale;
+          Alcotest.test_case "nested stall leaves the stack balanced" `Quick
+            test_nested_stall_balanced;
         ] );
     ]

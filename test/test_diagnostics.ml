@@ -113,6 +113,28 @@ let test_buffered_residue () =
   | other ->
       Alcotest.failf "expected one buffered object, got %d" (List.length other)
 
+(* The survey must flag a node whose invocation bookkeeping did not
+   return to zero. The test-only hook makes a finishing method leave its
+   activation entry behind, the bug the check exists to catch. *)
+let test_unbalanced_activation () =
+  let cls =
+    Class_def.define ~name:"td_leaky" ~methods:[ (p_go, fun _ _ -> ()) ] ()
+  in
+  let sys = System.boot ~nodes:2 ~classes:[ cls ] () in
+  let a = System.create_root sys ~node:1 cls [] in
+  System.send_boot sys a p_go [];
+  Sched.unsafe_leak_activation := true;
+  Fun.protect
+    ~finally:(fun () -> Sched.unsafe_leak_activation := false)
+    (fun () -> System.run sys);
+  let r = Diagnostics.survey sys in
+  Alcotest.(check (list (triple int int int)))
+    "node 1 left one activation open" [ (1, 0, 1) ] r.Diagnostics.unbalanced;
+  Alcotest.(check bool) "not clean" false (Diagnostics.is_clean r);
+  Alcotest.(check string) "reported"
+    "node 1 left at stack depth 0 with 1 activation(s) open\n"
+    (Format.asprintf "%a" Diagnostics.pp r)
+
 let () =
   Alcotest.run "diagnostics"
     [
@@ -123,5 +145,7 @@ let () =
             test_orphan_selective_wait;
           Alcotest.test_case "orphan now-type wait" `Quick test_orphan_now_wait;
           Alcotest.test_case "buffered residue" `Quick test_buffered_residue;
+          Alcotest.test_case "unbalanced activation stack" `Quick
+            test_unbalanced_activation;
         ] );
     ]

@@ -30,10 +30,12 @@ let test_inbox_ready_gating () =
   let am = { Am.handler = 0; src = 1; size_bytes = 0; payload = Am.Ping } in
   Node.inbox_push n ~arrival:500 am;
   Alcotest.(check bool) "not ready before arrival" true
-    (Option.is_none (Node.inbox_pop_ready n));
+    (Node.inbox_min n > Node.now n);
   Node.charge_ns n 500;
   Alcotest.(check bool) "ready at arrival" true
-    (Option.is_some (Node.inbox_pop_ready n))
+    (Node.inbox_min n <= Node.now n);
+  Alcotest.(check int) "takes the message" 1 (Node.inbox_take n).Am.src;
+  Alcotest.(check int) "empty inbox has no arrival" max_int (Node.inbox_min n)
 
 let test_dispatch_and_quiesce () =
   let m = Engine.create ~nodes:4 () in

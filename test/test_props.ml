@@ -25,6 +25,151 @@ let prop_event_queue_sorts =
       in
       popped = expected)
 
+(* --- Event queue against a reference model --- *)
+
+module EQ = Simcore.Event_queue
+
+(* The reference: a list sorted by (time, insertion seq); the payload is
+   the seq itself, so every entry is distinguishable. *)
+let model_insert model entry = List.merge compare model [ entry ]
+
+type eq_op = Add of int | Take | Min
+
+let eq_op_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, map (fun t -> Add t) (int_bound 20));
+        (2, return Take);
+        (1, return Min);
+      ])
+
+let pp_eq_op = function
+  | Add t -> Printf.sprintf "add %d" t
+  | Take -> "take"
+  | Min -> "min"
+
+let prop_event_queue_model =
+  QCheck.Test.make ~name:"event_queue add/take/min_time match the model"
+    ~count:300
+    (QCheck.make
+       ~print:QCheck.Print.(list pp_eq_op)
+       QCheck.Gen.(list_size (int_range 0 300) eq_op_gen))
+    (fun ops ->
+      let q = EQ.create () in
+      let seq = ref 0 in
+      let model = ref [] in
+      List.for_all
+        (fun op ->
+          match op with
+          | Add time ->
+              EQ.add q ~time !seq;
+              model := model_insert !model (time, !seq);
+              incr seq;
+              EQ.size q = List.length !model
+          | Min -> (
+              match !model with
+              | [] -> EQ.min_time q = max_int
+              | (t, _) :: _ -> EQ.min_time q = t)
+          | Take -> (
+              match !model with
+              | [] -> (
+                  match EQ.take q with
+                  | _ -> false
+                  | exception Invalid_argument _ -> true)
+              | (_, v) :: rest ->
+                  model := rest;
+                  EQ.take q = v))
+        ops)
+
+(* A chooser picks among same-time candidates ordered by insertion seq;
+   out-of-range picks fall back to 0. Times come from a small range so
+   ties are common, and at least six entries make the heap deeper than
+   one 4-ary level, so candidates sit below the root's children. *)
+let prop_event_queue_tie_break =
+  QCheck.Test.make ~name:"event_queue tie-break picks candidate k" ~count:300
+    QCheck.(
+      pair (list_of_size Gen.(int_range 6 80) (int_bound 4)) (list small_nat))
+    (fun (times, picks) ->
+      let q = EQ.create () in
+      List.iteri (fun seq time -> EQ.add q ~time seq) times;
+      let model = ref (List.sort compare (List.mapi (fun s t -> (t, s)) times)) in
+      let picks = ref (if picks = [] then [ 1 ] else picks) in
+      let next_pick () =
+        match !picks with
+        | k :: rest ->
+            picks := rest @ [ k ];
+            k mod 7
+        | [] -> 0
+      in
+      let offered = ref [||] in
+      let pick = ref 0 in
+      EQ.set_tie_break q
+        (Some
+           (fun vals ->
+             offered := Array.copy vals;
+             !pick));
+      let ok = ref true in
+      while !model <> [] do
+        let tmin = fst (List.hd !model) in
+        let candidates =
+          List.filter_map
+            (fun (t, s) -> if t = tmin then Some s else None)
+            !model
+        in
+        let n = List.length candidates in
+        pick := next_pick ();
+        offered := [||];
+        let k = if !pick >= n then 0 else !pick in
+        let expected = List.nth candidates k in
+        let got = EQ.take q in
+        if got <> expected then ok := false;
+        (* The chooser runs only for two or more candidates, and sees
+           them in insertion order. *)
+        if n >= 2 && !offered <> Array.of_list candidates then ok := false;
+        if n < 2 && !offered <> [||] then ok := false;
+        model := List.filter (fun (_, s) -> s <> expected) !model
+      done;
+      !ok && EQ.is_empty q)
+
+(* No taken value stays reachable from the queue: not the root taken
+   plainly, not a middle candidate removed under a tie-break, and not a
+   value that moved to refill a hole and was taken last of all. *)
+let test_event_queue_retention () =
+  let check case =
+    let q = EQ.create () in
+    let w = Weak.create 1 in
+    let target_time =
+      match case with `Root -> -1 | `Tie -> 0 | `Drain -> 100
+    in
+    let[@inline never] fill () =
+      for i = 1 to 30 do
+        EQ.add q ~time:(i mod 4) (Bytes.make 8 'x')
+      done;
+      let v = Bytes.make 8 'y' in
+      Weak.set w 0 (Some v);
+      EQ.add q ~time:target_time v
+    in
+    fill ();
+    if case = `Tie then
+      (* The target is the last-inserted of the time-0 candidates. *)
+      EQ.set_tie_break q (Some (fun vals -> Array.length vals - 1));
+    let[@inline never] take_target () =
+      let rec go () = if Bytes.get (EQ.take q) 0 = 'y' then () else go () in
+      go ()
+    in
+    take_target ();
+    Gc.full_major ();
+    Alcotest.(check bool) "taken value collected" true
+      (Option.is_none (Weak.get w 0));
+    Alcotest.(check int) "rest still queued"
+      (if case = `Drain then 0 else 30)
+      (EQ.size q)
+  in
+  check `Root;
+  check `Tie;
+  check `Drain
+
 (* --- Torus metric properties --- *)
 
 let topo_gen =
@@ -283,7 +428,13 @@ let () =
   Alcotest.run "properties"
     [
       ( "simcore",
-        [ to_alcotest prop_event_queue_sorts ] );
+        [
+          to_alcotest prop_event_queue_sorts;
+          to_alcotest prop_event_queue_model;
+          to_alcotest prop_event_queue_tie_break;
+          Alcotest.test_case "event_queue retains no taken value" `Quick
+            test_event_queue_retention;
+        ] );
       ( "network",
         [
           to_alcotest prop_hops_metric;

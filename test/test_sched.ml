@@ -461,6 +461,231 @@ let test_leaf_blocking_forbidden () =
       Alcotest.(check string) "diagnostic"
         "Sched.block: a leaf-optimised method attempted to block" m
 
+(* --- The activation stack stays balanced ---
+
+   Every method fiber pushes one activation entry when it starts or
+   resumes and pops it when it returns, raises or blocks. Each scenario
+   below ends with no invocation open on any node. *)
+
+let assert_balanced sys =
+  for node = 0 to System.node_count sys - 1 do
+    let rt = System.rt sys node in
+    Alcotest.(check int) (Printf.sprintf "node %d depth" node) 0 rt.Kernel.depth;
+    Alcotest.(check int)
+      (Printf.sprintf "node %d activation stack" node)
+      0 rt.Kernel.act_len
+  done;
+  Alcotest.(check bool)
+    "survey sees no open invocation" true
+    ((Diagnostics.survey sys).Diagnostics.unbalanced = [])
+
+let p_ask = Pattern.intern "ts_ask" ~arity:0
+let p_call = Pattern.intern "ts_call" ~arity:1
+let p_go2 = Pattern.intern "ts_go2" ~arity:2
+
+(* An echo server that answers now-type requests with 7. *)
+let echo_cls () =
+  Class_def.define ~name:"ts_echo"
+    ~methods:[ (p_ask, fun ctx msg -> Ctx.reply ctx msg (Value.int 7)) ]
+    ()
+
+let test_balance_reply_wait_inlined () =
+  let echo = echo_cls () in
+  let got = ref [] in
+  let asker =
+    Class_def.define ~name:"ts_asker"
+      ~methods:
+        [
+          ( p_call,
+            fun ctx msg ->
+              (* The server is on another node: the now-type send blocks
+                 the inlined invocation until the reply arrives. *)
+              let server = Value.to_addr (Message.arg msg 0) in
+              got := Value.to_int (Ctx.send_now ctx server p_ask []) :: !got );
+        ]
+      ()
+  in
+  let caller =
+    Class_def.define ~name:"ts_asker_drv"
+      ~methods:
+        [
+          ( p_go2,
+            fun ctx msg ->
+              let target = Value.to_addr (Message.arg msg 0) in
+              Ctx.send_inlined ctx asker target p_call [ Message.arg msg 1 ] );
+        ]
+      ()
+  in
+  let sys = System.boot ~nodes:2 ~classes:[ echo; asker; caller ] () in
+  let server = System.create_root sys ~node:1 echo [] in
+  let target = System.create_root sys ~node:0 asker [] in
+  let d = System.create_root sys ~node:0 caller [] in
+  (* The first call initialises the asker through the generic path; the
+     caller's call then finds it dormant and enters the body inline. *)
+  System.send_boot sys target p_call [ Value.addr server ];
+  System.run sys;
+  System.send_boot sys d p_go2 [ Value.addr target; Value.addr server ];
+  System.run sys;
+  Alcotest.(check (list int)) "both replies received" [ 7; 7 ] !got;
+  let st = System.stats sys in
+  Alcotest.(check int) "the second call was inlined" 1
+    (Simcore.Stats.get st "send.local.inlined");
+  Alcotest.(check int) "both waits blocked" 2 (Simcore.Stats.get st "reply.blocked");
+  assert_balanced sys
+
+let test_balance_preempted () =
+  let inner =
+    Class_def.define ~name:"ts_long_inner"
+      ~methods:
+        [
+          ( p_go,
+            fun ctx _msg ->
+              for _ = 1 to 40 do
+                Ctx.charge ctx 1000
+              done );
+        ]
+      ()
+  in
+  let outer =
+    Class_def.define ~name:"ts_long_outer"
+      ~methods:
+        [
+          ( p_go,
+            fun ctx msg ->
+              (* A nested dormant invocation that is preempted (on a
+                 fiber of its own, beneath the sender's). *)
+              Ctx.send ctx (Value.to_addr (Message.arg msg 0)) p_go [ Value.int 0 ];
+              for _ = 1 to 40 do
+                Ctx.charge ctx 1000
+              done );
+        ]
+      ()
+  in
+  let rt_config = { System.default_rt_config with Kernel.quantum_instr = 5_000 } in
+  let sys = System.boot ~rt_config ~nodes:1 ~classes:[ inner; outer ] () in
+  let i = System.create_root sys ~node:0 inner [] in
+  let o = System.create_root sys ~node:0 outer [] in
+  System.send_boot sys o p_go [ Value.addr i ];
+  System.run sys;
+  Alcotest.(check bool) "preempted repeatedly" true
+    (Simcore.Stats.get (System.stats sys) "preempt" >= 10);
+  assert_balanced sys
+
+let p_read = Pattern.intern "ts_ma_read" ~arity:2
+let p_note = Pattern.intern "ts_note" ~arity:0
+
+let test_balance_multiactive () =
+  let echo = echo_cls () in
+  let notes = ref 0 in
+  let noter =
+    Class_def.define ~name:"ts_noter" ~methods:[ (p_note, fun _ _ -> incr notes) ] ()
+  in
+  let finished = ref 0 in
+  let reader =
+    Class_def.define ~name:"ts_ma_reader"
+      ~methods:
+        [
+          ( p_read,
+            fun ctx msg ->
+              (* A nested dormant send, then a remote now-type wait: the
+                 activation blocks and resumes under its group. *)
+              Ctx.send ctx (Value.to_addr (Message.arg msg 0)) p_note [];
+              ignore (Ctx.send_now ctx (Value.to_addr (Message.arg msg 1)) p_ask []);
+              incr finished );
+        ]
+      ()
+  in
+  Multiactive.declare reader ~budget:4 ~groups:[ ("reads", [ "ts_ma_read" ]) ] ();
+  let sys = System.boot ~nodes:2 ~classes:[ echo; noter; reader ] () in
+  let server = System.create_root sys ~node:1 echo [] in
+  let n = System.create_root sys ~node:0 noter [] in
+  let r = System.create_root sys ~node:0 reader [] in
+  for _ = 1 to 3 do
+    System.send_boot sys r p_read [ Value.addr n; Value.addr server ]
+  done;
+  System.run sys;
+  Alcotest.(check int) "every activation finished" 3 !finished;
+  Alcotest.(check int) "every nested send ran" 3 !notes;
+  let st = System.stats sys in
+  Alcotest.(check bool) "activations overlapped" true
+    (Simcore.Stats.get st "ma.overlap" >= 1);
+  let m = Sched.ma_state (Option.get (System.lookup_obj sys r)) in
+  Alcotest.(check int) "running set empty" 0 m.Kernel.mar_count;
+  Alcotest.(check int) "no group still running" 0
+    (Array.fold_left ( + ) 0 m.Kernel.mar_running);
+  assert_balanced sys
+
+let test_balance_not_understood () =
+  let ran = ref 0 in
+  let cls =
+    Class_def.define ~name:"ts_confused"
+      ~methods:
+        [
+          ( p_go,
+            fun ctx msg ->
+              (* Nested dispatch of a pattern the receiver lacks. *)
+              Ctx.send ctx (Value.to_addr (Message.arg msg 0)) p_unknown [] );
+          (p_item, fun _ _ -> incr ran);
+        ]
+      ()
+  in
+  let sys = System.boot ~nodes:2 ~classes:[ cls ] () in
+  let a = System.create_root sys ~node:0 cls [] in
+  let b = System.create_root sys ~node:0 cls [] in
+  let c = System.create_root sys ~node:0 cls [] in
+  System.send_boot sys a p_go [ Value.addr b ];
+  (match System.run sys with
+  | () -> Alcotest.fail "expected Not_understood"
+  | exception Kernel.Not_understood _ -> ());
+  assert_balanced sys;
+  (* The aborted slice left node 0 marked busy, so the next message
+     reaches it over the network, which wakes it. *)
+  System.send_boot sys ~from:1 c p_item [ Value.int 1 ];
+  System.run sys;
+  Alcotest.(check int) "a later run still dispatches on the node" 1 !ran;
+  assert_balanced sys
+
+(* Allocation regression: a local send to a dormant object costs its
+   message and a small constant of dispatch bookkeeping. The bound is
+   far below the ~65 words the per-invocation handler, [Fun.protect]
+   frame and body closure used to cost. *)
+let test_dispatch_alloc_bound () =
+  let sink = Class_def.define ~name:"ts_sink" ~methods:[ (p_item, fun _ _ -> ()) ] () in
+  let caller =
+    Class_def.define ~name:"ts_sender"
+      ~methods:
+        [
+          ( p_hop,
+            fun ctx msg ->
+              let n = Value.to_int (Message.arg msg 0) in
+              let target = Value.to_addr (Message.arg msg 1) in
+              let args = [ Value.int 1 ] in
+              for _ = 1 to n do
+                Ctx.send ctx target p_item args
+              done );
+        ]
+      ()
+  in
+  let sys = System.boot ~nodes:1 ~classes:[ sink; caller ] () in
+  let s = System.create_root sys ~node:0 sink [] in
+  let d = System.create_root sys ~node:0 caller [] in
+  (* Warm-up: initialises both objects and builds the node's handler. *)
+  System.send_boot sys d p_hop [ Value.int 10; Value.addr s ];
+  System.run sys;
+  let n = 20_000 in
+  let dormant () = Simcore.Stats.get (System.stats sys) "send.local.dormant" in
+  let dormant_before = dormant () in
+  System.send_boot sys d p_hop [ Value.int n; Value.addr s ];
+  let before = Gc.minor_words () in
+  System.run sys;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "every send was a dormant dispatch" (n + 1)
+    (dormant () - dormant_before);
+  let per = words /. float_of_int n in
+  if per > 32. then
+    Alcotest.failf "%.1f minor words per dormant dispatch (bound 32)" per;
+  assert_balanced sys
+
 let () =
   Alcotest.run "sched"
     [
@@ -491,5 +716,18 @@ let () =
             test_inlined_dormant_fast_path;
           Alcotest.test_case "leaf cannot block" `Quick
             test_leaf_blocking_forbidden;
+        ] );
+      ( "activation stack",
+        [
+          Alcotest.test_case "reply wait inside an inlined invocation" `Quick
+            test_balance_reply_wait_inlined;
+          Alcotest.test_case "preempted nested method" `Quick
+            test_balance_preempted;
+          Alcotest.test_case "multiactive after a nested send" `Quick
+            test_balance_multiactive;
+          Alcotest.test_case "not understood, then a run" `Quick
+            test_balance_not_understood;
+          Alcotest.test_case "dormant dispatch allocation bound" `Quick
+            test_dispatch_alloc_bound;
         ] );
     ]

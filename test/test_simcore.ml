@@ -31,7 +31,7 @@ let test_eq_interleaved () =
   Alcotest.(check (option (pair int int))) "min" (Some (1, 1)) (EQ.pop q);
   EQ.add q ~time:0 0;
   Alcotest.(check (option (pair int int))) "new min" (Some (0, 0)) (EQ.pop q);
-  Alcotest.(check (option int)) "peek" (Some 2) (EQ.peek_time q);
+  Alcotest.(check int) "min time" 2 (EQ.min_time q);
   Alcotest.(check int) "size" 1 (EQ.size q);
   EQ.clear q;
   Alcotest.(check bool) "cleared" true (EQ.is_empty q)
@@ -46,6 +46,26 @@ let test_eq_large_sorted () =
   in
   let popped = drain [] in
   Alcotest.(check (list int)) "heap sorts" (List.sort compare times) popped
+
+(* Allocation regression: at a steady size (1,024 pending, the working
+   size of the layer ledger), an add and a take with an immediate
+   payload allocate nothing. *)
+let test_eq_no_alloc () =
+  let q = EQ.create () in
+  for i = 0 to 1023 do
+    EQ.add q ~time:(i * 7919 mod 100_003) i
+  done;
+  let ops = 100_000 in
+  let before = Gc.minor_words () in
+  for i = 1 to ops do
+    EQ.add q ~time:(100_003 + (97 * i)) i;
+    ignore (Sys.opaque_identity (EQ.take q))
+  done;
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check int) "size unchanged" 1024 (EQ.size q);
+  let per_op = words /. float_of_int ops in
+  if per_op > 0.01 then
+    Alcotest.failf "%.2f minor words per add+take (expected 0)" per_op
 
 let test_clock () =
   let c = Clock.create () in
@@ -310,6 +330,8 @@ let () =
           Alcotest.test_case "fifo ties" `Quick test_eq_fifo_ties;
           Alcotest.test_case "interleaved" `Quick test_eq_interleaved;
           Alcotest.test_case "large sorted" `Quick test_eq_large_sorted;
+          Alcotest.test_case "add+take allocates nothing" `Quick
+            test_eq_no_alloc;
           Alcotest.test_case "no retention" `Quick test_eq_no_retention;
           Alcotest.test_case "tie break hook" `Quick test_eq_tie_break;
         ] );
