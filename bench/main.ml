@@ -14,7 +14,8 @@
      recover      crash recovery: kill nodes mid-burst, restore, replay
      traffic      open-loop load against the sharded KV tier, rate sweep
      multiactive  serialized vs compatibility-annotated shards
-     parallel     the domain-sharded engine against the sequential loop
+     parallel     the domain-sharded engine against the sequential loop on
+                  the fault-free sharded KV workload
      explore      the schedule explorer (a checker: only run when named,
                   never under "all")
 
@@ -22,13 +23,9 @@
      --full          paper scale (N=13, 512 nodes) for table4/fig5/fig6;
                      without it the harness caps at N<=11
      --smoke         CI scale for the layer sections and the explorer
-     --domains D     faults, coalesce, recover: with D > 1 also re-run the
-                     hostile burst on D domains and gate on an identical
-                     Timeline hash plus the feature's invariants; parallel:
-                     the domain count of its envelope rows (default 4)
      --baseline F    traffic: p99_ns may not exceed 1.5x F's; multiactive:
                      knee_multiactive_rps may not fall below F's; parallel:
-                     Timeline hashes must equal F's
+                     the KV Timeline hash must equal F's
      explore only:   --schedules N  --seed N  --workload NAME  --out DIR
                      --replay FILE  (re-executes a reproducer twice and
                      asserts the runs are bit-identical)
@@ -116,11 +113,9 @@ let workload name = Option.get (Check.Workloads.find name)
 
 (* Compare against the integer [key] of a checked-in baseline: [check]
    prints the comparison and says whether it passes. A missing key fails
-   the gate, unless [skip_missing]. *)
-let baseline_gate ?(skip_missing = false) ~path ~key ~what check =
+   the gate. *)
+let baseline_gate ~path ~key ~what check =
   match Services.Bench_json.read_int_field ~path ~key with
-  | None when skip_missing ->
-      Format.printf "baseline has no %s — %s gate skipped@." key what
   | None -> fail "baseline %s has no %s" path key
   | Some want -> if not (check want) then fail "%s gate" what
 
@@ -390,205 +385,7 @@ let fault_config plan =
     Machine.Engine.faults = (if Network.Faults.is_fault_free plan then None else Some plan);
   }
 
-(* ------------------------------------------------------------------ *)
-(* Parallel feature envelope: fault plans, coalescing, and crash       *)
-(* recovery under the domain-sharded engine                            *)
-(* ------------------------------------------------------------------ *)
-
-type envelope_feature = Env_faults | Env_coalesce | Env_recover
-
-let envelope_feature_name = function
-  | Env_faults -> "faults"
-  | Env_coalesce -> "coalesce"
-  | Env_recover -> "recover"
-
-type envelope_result = {
-  e_hash : int;
-  e_sent : int;
-  e_lost : int;
-  e_dup : int;
-  e_in_flight : int;
-  e_retransmits : int;
-  e_drops : int;
-  e_batches : int;
-  e_restarts : int;
-  e_crashes : int;
-  e_recovery_max : int;
-  e_audit : string list;
-}
-
-(* One hostile run at [domains]: sequenced 16-byte bursts on a ring
-   (node s -> s+3) under a lossy, duplicating, jittering fabric, plus
-   the feature's own machinery (framed batches, scripted crash windows
-   with the recovery manager attached). Every construct is
-   parallel-safe: timers are node-owned and post to their own node, and
-   the burst's tables are per node. [source] supplies the node-keyed
-   decision streams, so a recorded sharded schedule replays the run
-   bit-identically at any domain count. *)
-let envelope_burst ~feature ~rounds ~burst ~domains ~source () =
-  let module Engine = Machine.Engine in
-  let nodes = 8 in
-  let plan =
-    Network.Faults.plan ~seed:29 ~drop:0.02 ~duplicate:0.01 ~jitter_ns:400 ()
-  in
-  let coalesce =
-    match feature with
-    | Env_faults -> None
-    | Env_coalesce | Env_recover ->
-        Some
-          {
-            Machine.Coalesce.default_config with
-            Machine.Coalesce.max_delay_ns = 2_000;
-          }
-  in
-  let config =
-    { Engine.default_config with Engine.faults = Some plan; coalesce }
-  in
-  let m = Engine.create ~config ~nodes () in
-  Engine.set_node_decision_source m (Some source);
-  let tl = Services.Timeline.attach_machine m in
-  let sq = Check.Harness.seq m in
-  let crash node at =
-    {
-      Recover.Manager.cs_node = node;
-      cs_at = at;
-      cs_down_ns = 30_000;
-      cs_jitter_ns = 1_000;
-    }
-  in
-  let crashes =
-    match feature with
-    | Env_recover -> [ crash 3 40_000; crash 5 95_000 ]
-    | _ -> []
-  in
-  let mgr =
-    match feature with
-    | Env_recover ->
-        Some
-          (Recover.Manager.attach m ~app:(Check.Harness.recovery_app sq)
-             ~crashes ())
-    | _ -> None
-  in
-  for src = 0 to nodes - 1 do
-    for r = 0 to rounds - 1 do
-      Engine.schedule_on m ~node:src ~time:(12_000 + (r * 20_000)) (fun () ->
-          if not (Engine.node_down m src) then
-            Engine.post m (Engine.node m src) (fun () ->
-                Check.Harness.send_burst sq ~src ~dst:((src + 3) mod nodes)
-                  ~burst ~size_bytes:16))
-    done
-  done;
-  Engine.run_parallel m ~domains ();
-  note_machine_events m;
-  let hash = Services.Timeline.hash tl in
-  Services.Timeline.detach tl;
-  let v = Check.Harness.verdict sq in
-  let st = Engine.stats m in
-  let batches =
-    match Engine.coalesce_stats m with
-    | Some s -> s.Machine.Coalesce.s_batches
-    | None -> 0
-  in
-  let audit, recovery_max =
-    match mgr with
-    | Some g ->
-        ( Recover.Manager.audit_quiescent g,
-          List.fold_left
-            (fun acc cs ->
-              max acc
-                (Recover.Manager.recovery_ns g cs.Recover.Manager.cs_node))
-            0 crashes )
-    | None -> ([], 0)
-  in
-  Option.iter Recover.Manager.detach mgr;
-  {
-    e_hash = hash;
-    e_sent = v.Check.Harness.sent;
-    e_lost = v.Check.Harness.lost;
-    e_dup = v.Check.Harness.dup;
-    e_in_flight = Engine.reliable_in_flight m;
-    e_retransmits = Simcore.Stats.get st "reliable.retransmit";
-    e_drops = Engine.packets_dropped m;
-    e_batches = batches;
-    e_restarts = Simcore.Stats.get st "recover.restarts";
-    e_crashes = List.length crashes;
-    e_recovery_max = recovery_max;
-    e_audit = audit;
-  }
-
-(* Run the feature at 1 domain and at [domains] from the same recorded
-   sharded schedule, gate on identical Timeline hashes plus the
-   feature's own invariants (exactly-once; batches actually formed;
-   restarts = crashes and bounded recovery), and return the parallel
-   hash with the JSON fields for the caller's metrics file. Exits
-   nonzero on any failure, like every other bench gate. *)
-let envelope_section ~feature ~smoke ~domains () =
-  let module J = Services.Bench_json in
-  let name = envelope_feature_name feature in
-  header
-    (Printf.sprintf "Parallel envelope: %s under %d domain(s)" name domains);
-  let rounds = if smoke then 4 else 8 in
-  let burst = if smoke then 8 else 16 in
-  let seed =
-    match feature with Env_faults -> 101 | Env_coalesce -> 102 | Env_recover -> 103
-  in
-  let sh = Check.Schedule.record_sharded ~seed ~nodes:8 in
-  let r1 =
-    envelope_burst ~feature ~rounds ~burst ~domains:1
-      ~source:(Check.Schedule.node_source sh) ()
-  in
-  let traces = Check.Schedule.traces sh in
-  let rd =
-    envelope_burst ~feature ~rounds ~burst ~domains
-      ~source:(Check.Schedule.node_source (Check.Schedule.replay_sharded traces))
-      ()
-  in
-  Format.printf "%d msg(s): hash %016x at 1 domain, %016x at %d domain(s) %s@."
-    r1.e_sent r1.e_hash rd.e_hash domains
-    (if r1.e_hash = rd.e_hash then "(identical)" else "(MISMATCH)");
-  Format.printf
-    "exactly-once: %d lost, %d dup channel(s), %d in flight; %d \
-     retransmit(s), %d drop(s)@."
-    rd.e_lost rd.e_dup rd.e_in_flight rd.e_retransmits rd.e_drops;
-  (match feature with
-  | Env_coalesce | Env_recover ->
-      Format.printf "batches formed under domains: %d@." rd.e_batches
-  | Env_faults -> ());
-  (match feature with
-  | Env_recover ->
-      Format.printf "restarts %d of %d crash(es), worst recovery %.1f us@."
-        rd.e_restarts rd.e_crashes
-        (float_of_int rd.e_recovery_max /. 1000.)
-  | _ -> ());
-  List.iter (fun v -> Format.printf "AUDIT %s@." v) (r1.e_audit @ rd.e_audit);
-  let fail msg = fail "parallel envelope (%s): %s" name msg in
-  if rd.e_hash <> r1.e_hash then
-    fail "Timeline hash differs across domain counts";
-  if r1.e_sent <> rd.e_sent then
-    fail "send counts differ across domain counts";
-  if r1.e_lost + rd.e_lost > 0 || r1.e_dup + rd.e_dup > 0 then
-    fail "exactly-once violated";
-  if rd.e_in_flight <> 0 || r1.e_in_flight <> 0 then
-    fail "reliable layer not drained";
-  if r1.e_audit <> [] || rd.e_audit <> [] then fail "recovery audit unclean";
-  (match feature with
-  | Env_coalesce | Env_recover ->
-      if rd.e_batches < 1 then fail "no batches formed under domains"
-  | Env_faults -> ());
-  (match feature with
-  | Env_recover ->
-      if rd.e_restarts <> rd.e_crashes then fail "restart count <> crash count";
-      if rd.e_recovery_max > 2_000_000 then fail "recovery exceeded 2 ms"
-  | _ -> ());
-  ( rd.e_hash,
-    [
-      (name ^ "_env_domains", J.Int domains);
-      (name ^ "_hash", J.Str (Printf.sprintf "%016x" rd.e_hash));
-      (name ^ "_hash_int", J.Int rd.e_hash);
-      (name ^ "_sent", J.Int rd.e_sent);
-    ] )
-
-let faults ~smoke ~domains () =
+let faults ~smoke () =
   header "Degradation: N-queens (N=8, 16 nodes) under fault injection";
   section_start ();
   let nodes = 16 and n = 8 in
@@ -667,14 +464,9 @@ let faults ~smoke ~domains () =
   Format.printf
     "chunk-stall wait while partitioned: %d ns total@."
     (Simcore.Stats.get (System.stats sys) "chunk.stall.wait_ns");
-  let env_fields =
-    if domains > 1 then
-      snd (envelope_section ~feature:Env_faults ~smoke ~domains ())
-    else []
-  in
   emit "BENCH_faults.json"
-    (Services.Bench_json.
-       [
+    Services.Bench_json.
+      [
          ("smoke", Bool smoke);
          ("drop_max_pct", Float (100. *. List.fold_left Float.max 0. rates));
          ("slowdown_at_max_drop", Float !j_slowdown);
@@ -687,7 +479,6 @@ let faults ~smoke ~domains () =
          ("crash_elapsed_ns", Int r.Apps.Nqueens_par.elapsed);
          ("crash_clean", Bool clean);
        ]
-    @ env_fields)
 
 (* ------------------------------------------------------------------ *)
 (* Migration: hot-spot rebalancing and affinity                        *)
@@ -1151,7 +942,7 @@ let coalesce_burst ~coal ~faults ~rounds ~senders ~dests ~burst =
   Machine.Engine.run m;
   (m, !count, float_of_int !lat_sum /. float_of_int (max 1 !count))
 
-let coalesce_bench ~smoke ~domains () =
+let coalesce_bench ~smoke () =
   header "Aggregation: per-destination batching under bursty control traffic";
   section_start ();
   let rounds = if smoke then 8 else 32 in
@@ -1250,14 +1041,9 @@ let coalesce_bench ~smoke ~domains () =
     d_inter;
   if Float.abs d_dorm > 5. || Float.abs d_inter > 5. then
     fail "Table-1 preservation gate";
-  let env_fields =
-    if domains > 1 then
-      snd (envelope_section ~feature:Env_coalesce ~smoke ~domains ())
-    else []
-  in
   emit "BENCH_coalesce.json"
-    (Services.Bench_json.
-       [
+    Services.Bench_json.
+      [
          ("smoke", Bool smoke);
          ("messages", Int expected);
          ("packets_off", Int p_off);
@@ -1272,13 +1058,12 @@ let coalesce_bench ~smoke ~domains () =
          ("table1_dormant_dev_pct", Float d_dorm);
          ("table1_inter_dev_pct", Float d_inter);
        ]
-    @ env_fields)
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery: kill a node mid-burst, restore, replay              *)
 (* ------------------------------------------------------------------ *)
 
-let recover_bench ~smoke ~domains () =
+let recover_bench ~smoke () =
   header "Crash recovery: kill a node mid-burst, restore, replay";
   section_start ();
   let module Engine = Machine.Engine in
@@ -1421,13 +1206,7 @@ let recover_bench ~smoke ~domains () =
     || limbo <> 0
   then fail "dark-interface composition gate";
 
-  let env_hash =
-    if domains > 1 then
-      Printf.sprintf "%016x"
-        (fst (envelope_section ~feature:Env_recover ~smoke ~domains ()))
-    else ""
-  in
-  emit ~domains "BENCH_recover.json"
+  emit "BENCH_recover.json"
     Services.Bench_json.
       [
         ("smoke", Bool smoke);
@@ -1447,7 +1226,6 @@ let recover_bench ~smoke ~domains () =
           Str (Printf.sprintf "%016x" (Services.Timeline.hash tl)) );
         (* the replay gate above exits unless the replay was identical *)
         ("replay_identical", Bool true);
-        ("envelope_hash", Str env_hash);
       ]
 
 (* ------------------------------------------------------------------ *)
@@ -1861,7 +1639,7 @@ let parallel_workload ~nodes ~requests ~rate () =
   let lg = Traffic.Loadgen.launch_sharded cfg sys kv in
   (sys, lg)
 
-let parallel_bench ~smoke ~baseline ~domains () =
+let parallel_bench ~smoke ~baseline () =
   header "Parallel engine: nodes sharded across domains, conservative lookahead";
   section_start ();
   let nodes = 8 in
@@ -1940,23 +1718,9 @@ let parallel_bench ~smoke ~baseline ~domains () =
       "speedup at 4 domains: %.2fx (gate skipped: host has %d core(s))@."
       speedup_4 cores;
   let total_events = List.fold_left (fun a (_, _, _, e) -> a + e) 0 rows in
-  (* Per-feature envelope rows: the hostile-network constructs (fault
-     plans, coalescing, crash recovery) under the same determinism
-     regime, so CI trends their hashes alongside the clean KV
-     workload's. Domain-count determinism does not depend on host
-     cores, so these rows always run. *)
-  let feat_domains = if domains > 1 then domains else 4 in
-  let env_rows =
-    List.map
-      (fun feature ->
-        let h, fields = envelope_section ~feature ~smoke ~domains:feat_domains () in
-        (envelope_feature_name feature, h, fields))
-      [ Env_faults; Env_coalesce; Env_recover ]
-  in
-  let env_fields = List.concat_map (fun (_, _, f) -> f) env_rows in
   emit ~domains:4 "BENCH_parallel.json"
-    (Services.Bench_json.
-       [
+    Services.Bench_json.
+      [
          ("smoke", Bool smoke);
          ("config_requests", Int requests);
          ("cores", Int cores);
@@ -1970,19 +1734,10 @@ let parallel_bench ~smoke ~baseline ~domains () =
          ("timeline_hash", Str (Printf.sprintf "%016x" h1));
          ("timeline_hash_int", Int h1);
          ("total_events", Int total_events);
-       ]
-    @ env_fields);
+       ];
   (* Baseline gate: the canonical observation stream is a pure function
      of the workload, so against a baseline recorded at the same
-     request count the hash must match exactly — for the KV workload
-     and for each feature row. Feature keys absent from an older
-     baseline are reported, not failed. *)
-  let hash_gate ?skip_missing path ~key ~what h =
-    baseline_gate ?skip_missing ~path ~key ~what (fun want ->
-        Format.printf "%s gate: %016x vs baseline %016x %s@." what h want
-          (if h = want then "(ok)" else "(MISMATCH)");
-        h = want)
-  in
+     request count the hash must match exactly. *)
   match baseline with
   | None -> ()
   | Some path -> (
@@ -1993,13 +1748,12 @@ let parallel_bench ~smoke ~baseline ~domains () =
              hash gate skipped@."
             path want_req requests
       | _ ->
-          hash_gate path ~key:"timeline_hash_int" ~what:"baseline hash" h1;
-          List.iter
-            (fun (nm, h, _) ->
-              hash_gate ~skip_missing:true path ~key:(nm ^ "_hash_int")
-                ~what:(Printf.sprintf "baseline %s hash" nm)
-                h)
-            env_rows)
+          baseline_gate ~path ~key:"timeline_hash_int" ~what:"baseline hash"
+            (fun want ->
+              Format.printf "baseline hash gate: %016x vs baseline %016x %s@."
+                h1 want
+                (if h1 = want then "(ok)" else "(MISMATCH)");
+              h1 = want))
 
 (* ------------------------------------------------------------------ *)
 (* Schedule explorer: sweep perturbed schedules, shrink failures       *)
@@ -2097,8 +1851,6 @@ let () =
   let replay, args = extract_opt "--replay" args in
   let out_dir, args = extract_opt "--out" args in
   let baseline, args = extract_opt "--baseline" args in
-  let domains, args = extract_opt "--domains" args in
-  let domains = Option.fold ~none:1 ~some:int_of_string domains in
   let full = List.mem "--full" args in
   let smoke = List.mem "--smoke" args in
   let named = List.filter (fun a -> a <> "--full" && a <> "--smoke") args in
@@ -2120,14 +1872,14 @@ let () =
       ("fig5", fig5 ~full);
       ("fig6", fig6 ~full);
       ("ablations", ablations);
-      ("faults", faults ~smoke ~domains);
+      ("faults", faults ~smoke);
       ("migrate", migrate_bench ~smoke);
       ("dgc", dgc_bench ~smoke);
-      ("coalesce", coalesce_bench ~smoke ~domains);
-      ("recover", recover_bench ~smoke ~domains);
+      ("coalesce", coalesce_bench ~smoke);
+      ("recover", recover_bench ~smoke);
       ("traffic", traffic_bench ~smoke ~baseline);
       ("multiactive", multiactive_bench ~smoke ~baseline);
-      ("parallel", parallel_bench ~smoke ~baseline ~domains);
+      ("parallel", parallel_bench ~smoke ~baseline);
     ]
   in
   List.iter

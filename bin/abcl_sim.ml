@@ -84,24 +84,24 @@ let nqueens n nodes naive stock placement interrupt contention seed stats timeli
   in
   let seq = Apps.Nqueens_seq.solve ~n in
   let seq_time = Apps.Nqueens_seq.modeled_time machine_config.Machine.Engine.cost seq in
-  let r =
-    if not timeline then Apps.Nqueens_par.run ~machine_config ~rt_config ~nodes ~n ()
-    else begin
-      (* Re-run through the lower-level API so the timeline can attach. *)
-      let cls = Apps.Nqueens_par.solver_cls () in
-      let sys = Core.System.boot ~machine_config ~rt_config ~nodes ~classes:[ cls ] () in
-      let tl = Services.Timeline.attach sys in
-      let root =
-        Core.System.create_root sys ~node:0 cls
-          [ Core.Value.int n; Core.Value.int Apps.Queens_board.empty_packed;
-            Core.Value.unit ]
-      in
-      Core.System.send_boot sys root (Core.Pattern.intern "expand" ~arity:0) [];
-      Core.System.run sys;
-      print_string (Services.Timeline.render tl);
-      Services.Timeline.detach tl;
-      Apps.Nqueens_par.run ~machine_config ~rt_config ~nodes ~n ()
-    end
+  if timeline then begin
+    (* A separate run through the lower-level API, so the timeline can
+       attach. *)
+    let cls = Apps.Nqueens_par.solver_cls () in
+    let sys = Core.System.boot ~machine_config ~rt_config ~nodes ~classes:[ cls ] () in
+    let tl = Services.Timeline.attach sys in
+    let root =
+      Core.System.create_root sys ~node:0 cls
+        [ Core.Value.int n; Core.Value.int Apps.Queens_board.empty_packed;
+          Core.Value.unit ]
+    in
+    Core.System.send_boot sys root (Core.Pattern.intern "expand" ~arity:0) [];
+    Core.System.run sys;
+    print_string (Services.Timeline.render tl);
+    Services.Timeline.detach tl
+  end;
+  let r, sys =
+    Apps.Nqueens_par.run_sys ~machine_config ~rt_config ~nodes ~n ()
   in
   Format.printf "solutions:        %d@." r.Apps.Nqueens_par.solutions;
   Format.printf "objects created:  %d@." r.objects_created;
@@ -113,8 +113,10 @@ let nqueens n nodes naive stock placement interrupt contention seed stats timeli
     (100. *. r.utilization);
   Format.printf "local msgs to dormant objects: %.0f%%@."
     (100. *. r.local_dormant_fraction);
-  if stats then
-    Format.printf "heap: %d KB@." (r.heap_words * 4 / 1024)
+  if stats then begin
+    Format.printf "heap: %d KB@." (r.heap_words * 4 / 1024);
+    dump_stats sys
+  end
 
 let nqueens_cmd =
   let n_t = Arg.(value & opt int 10 & info [ "n" ] ~docv:"N" ~doc:"Board size.") in
@@ -129,13 +131,12 @@ let nqueens_cmd =
 
 (* --- ring --- *)
 
-let ring nodes laps naive stock placement interrupt seed stats =
+let ring nodes laps naive stock placement interrupt seed =
   let rt_config, machine_config = configs naive stock placement interrupt seed in
   let r = Apps.Ring.run ~machine_config ~rt_config ~nodes ~laps () in
   Format.printf "%d hops in %a: %.2f us per inter-node message@."
     r.Apps.Ring.hops Simcore.Time.pp r.elapsed
-    (r.ns_per_hop /. 1000.);
-  ignore stats
+    (r.ns_per_hop /. 1000.)
 
 let ring_cmd =
   let laps_t =
@@ -145,17 +146,16 @@ let ring_cmd =
     (Cmd.info "ring" ~doc:"Token ring measuring inter-node message latency.")
     Term.(
       const ring $ nodes_t $ laps_t $ naive_t $ stock_t $ placement_t
-      $ interrupt_t $ seed_t $ stats_t)
+      $ interrupt_t $ seed_t)
 
 (* --- fib --- *)
 
-let fib n nodes naive stock placement interrupt seed stats =
+let fib n nodes naive stock placement interrupt seed =
   let rt_config, machine_config = configs naive stock placement interrupt seed in
   let r = Apps.Fib.run ~machine_config ~rt_config ~nodes ~n () in
   Format.printf "fib(%d) = %d (%d objects, %d blocking receptions, %a)@." n
     r.Apps.Fib.value r.objects_created r.blocked_waits Simcore.Time.pp
-    r.elapsed;
-  ignore stats
+    r.elapsed
 
 let fib_cmd =
   let n_t = Arg.(value & opt int 15 & info [ "n" ] ~docv:"N" ~doc:"Input.") in
@@ -163,16 +163,15 @@ let fib_cmd =
     (Cmd.info "fib" ~doc:"Fork-join Fibonacci over selective reception.")
     Term.(
       const fib $ n_t $ nodes_t $ naive_t $ stock_t $ placement_t $ interrupt_t
-      $ seed_t $ stats_t)
+      $ seed_t)
 
 (* --- sieve --- *)
 
-let sieve limit nodes naive stock placement interrupt seed stats =
+let sieve limit nodes naive stock placement interrupt seed =
   let rt_config, machine_config = configs naive stock placement interrupt seed in
   let r = Apps.Sieve.run ~machine_config ~rt_config ~nodes ~limit () in
   Format.printf "primes <= %d: %d (largest %d), %d filter objects, %a@." limit
-    r.Apps.Sieve.primes r.largest r.filters_created Simcore.Time.pp r.elapsed;
-  ignore stats
+    r.Apps.Sieve.primes r.largest r.filters_created Simcore.Time.pp r.elapsed
 
 let sieve_cmd =
   let limit_t =
@@ -182,7 +181,7 @@ let sieve_cmd =
     (Cmd.info "sieve" ~doc:"Prime sieve over a growing pipeline of objects.")
     Term.(
       const sieve $ limit_t $ nodes_t $ naive_t $ stock_t $ placement_t
-      $ interrupt_t $ seed_t $ stats_t)
+      $ interrupt_t $ seed_t)
 
 (* --- microbench --- *)
 

@@ -116,9 +116,6 @@ let measure ?machine_config () =
     lean_send_ns = local p_lean_loop;
   }
 
-let intra_dormant_instructions cost =
-  Machine.Cost_model.dormant_send_instructions cost
-
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>intra-node to dormant: %8.0f ns@,\

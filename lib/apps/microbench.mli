@@ -28,7 +28,4 @@ type t = {
 
 val measure : ?machine_config:Machine.Engine.config -> unit -> t
 
-val intra_dormant_instructions : Machine.Cost_model.t -> int
-(** The Table 2 instruction total implied by the cost model. *)
-
 val pp : Format.formatter -> t -> unit

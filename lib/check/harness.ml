@@ -10,8 +10,7 @@ module Engine = Machine.Engine
 type Machine.Am.payload += Seq of { k : int }
 
 (* Every table is indexed by node and written only by the node that owns
-   it (receive state by the receiver, sent counters by the sender), so a
-   run on the domain-sharded engine needs no locks. *)
+   it (receive state by the receiver, sent counters by the sender). *)
 type seq = {
   m : Engine.t;
   nodes : int;

@@ -8,9 +8,7 @@
 type seq
 (** Sequenced bursts on a raw engine. Each message on channel
     [(src, dst)] carries the channel's send count at send time; each
-    receiving node keeps, per source, the next number it expects. All
-    state is per node, so the same run works on the domain-sharded
-    engine. *)
+    receiving node keeps, per source, the next number it expects. *)
 
 val seq : Machine.Engine.t -> seq
 (** Registers the receive handler on the machine. *)
@@ -18,11 +16,6 @@ val seq : Machine.Engine.t -> seq
 val recovery_app : seq -> Recover.Manager.app
 (** Snapshot, restore and reset of one node's delivery table, for
     {!Recover.Manager.attach}. *)
-
-val send_burst :
-  seq -> src:int -> dst:int -> burst:int -> size_bytes:int -> unit
-(** Sends [burst] numbered messages on channel [(src, dst)]. Must run on
-    node [src] (inside a posted thunk). *)
 
 val send_rounds : seq -> rounds:int -> start:int -> burst:int -> unit
 (** [rounds] engine timers, 40 us apart from [start]: at each one,

@@ -50,4 +50,3 @@ let attach_periodic t machine ~interval_ns =
   in
   arm interval_ns
 
-let pp_violation ppf v = Format.fprintf ppf "%s: %s" v.v_probe v.v_detail

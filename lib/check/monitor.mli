@@ -37,4 +37,3 @@ val checks : t -> int
 (** Number of probe sweeps executed (for "the monitor actually ran"
     assertions). *)
 
-val pp_violation : Format.formatter -> violation -> unit

@@ -33,24 +33,3 @@ let choice t ~tag:_ n =
 
 let trace t = Array.of_list (List.rev t.trace)
 let used t = t.used
-
-(* Sharded schedules: one independent choice stream per node, for runs
-   whose decision points are node-keyed (Engine.set_node_decision_source).
-   A single global stream cannot drive a parallel run — the interleaving
-   of draws across domains is racy — but per-node streams are consumed
-   in each node's own deterministic order, so the vectors (and the run)
-   are identical whatever the domain count. *)
-type sharded = t array
-
-let record_sharded ~seed ~nodes =
-  let base = Simcore.Rng.create ~seed in
-  (* [derive] leaves [base] untouched: stream [i] is a pure function of
-     (seed, i), not of the order streams are created. *)
-  Array.init nodes (fun i ->
-      { mode = Record (Simcore.Rng.derive base ~index:i); trace = []; used = 0 })
-
-let replay_sharded vectors = Array.map replay vectors
-
-let node_source (sh : sharded) ~node tag n = choice sh.(node) ~tag n
-
-let traces (sh : sharded) = Array.map trace sh

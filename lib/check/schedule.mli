@@ -27,31 +27,3 @@ val trace : t -> int array
 (** Choices consumed so far, in order — the replay vector. *)
 
 val used : t -> int
-
-(** {2 Sharded schedules}
-
-    One independent choice stream per node, for runs whose decision
-    points are node-keyed ({!Machine.Engine.set_node_decision_source}).
-    A single global stream cannot drive a parallel run — the
-    interleaving of draws across domains is racy — but each node
-    consumes its own stream in its own deterministic order, so the
-    recorded vectors (and a replay from them) are identical at every
-    domain count. *)
-
-type sharded = t array
-
-val record_sharded : seed:int -> nodes:int -> sharded
-(** Fresh per-node recording streams; stream [i] draws from
-    [Rng.derive (Rng.create ~seed) ~index:i], a pure function of
-    [(seed, i)]. *)
-
-val replay_sharded : int array array -> sharded
-(** Per-node replaying streams, with {!replay}'s clamping and
-    past-the-end semantics on each. *)
-
-val node_source : sharded -> node:int -> string -> int -> int
-(** The hook shape {!Machine.Engine.set_node_decision_source} expects:
-    [node_source sh] routes node [n]'s draws to stream [sh.(n)]. *)
-
-val traces : sharded -> int array array
-(** Per-node replay vectors consumed so far. *)

@@ -351,20 +351,20 @@ let recover_wl =
         run_bursts sched ~config ~crashes ~start:10_000 ~burst:12 ());
   }
 
-(* --- the lifted envelope: faults + coalescing + crash recovery -------- *)
+(* --- hostile: faults + coalescing + crash recovery ------------------- *)
 
 let hostile_wl =
   {
     w_name = "hostile";
     w_run =
       (fun sched ->
-        (* The full lifted feature envelope in one run: a lossy,
+        (* Every hostile-network layer in one run: a lossy,
            duplicating fabric under per-destination batching, with the
-           recovery manager crashing nodes mid-burst. This is exactly
-           the composition the parallel engine admits; the explorer
-           perturbs its decision points sequentially and checks the
-           same invariants (exactly-once FIFO per channel, quiescent
-           recovery, drained reliable layer). *)
+           recovery manager crashing nodes mid-burst. The explorer
+           perturbs its decision points and checks exactly-once FIFO
+           per channel, quiescent recovery and a drained reliable
+           layer. This composition is sequential-only: the parallel
+           engine rejects fault plans and recovery hooks. *)
         let seed = 1 + Schedule.choice sched ~tag:"ho.seed" 1_000_000 in
         let drop =
           0.02 *. float_of_int (Schedule.choice sched ~tag:"ho.drop" 3)

@@ -53,9 +53,6 @@ let send_now ctx target pattern args =
       | R_reply v -> v
       | R_go | R_msg _ -> assert false)
 
-let send_now_kw ctx target keyword args =
-  send_now ctx target (interned keyword args) args
-
 type future = { fut_rd : obj; mutable claimed : bool }
 
 let send_future ctx target pattern args =

@@ -35,8 +35,6 @@ val send_now : t -> Value.addr -> Pattern.t -> Value.t list -> Value.t
     control — with stack-based scheduling a local request usually
     completes before the check. *)
 
-val send_now_kw : t -> Value.addr -> string -> Value.t list -> Value.t
-
 (** {3 Future-type message passing}
 
     ABCL's third transmission mode: send asynchronously like a past-type

@@ -39,7 +39,6 @@ let to_float = function Float f -> f | v -> mismatch "float" v
 let to_str = function Str s -> s | v -> mismatch "string" v
 let to_addr = function Addr a -> a | v -> mismatch "addr" v
 let to_list = function List l -> l | v -> mismatch "list" v
-let to_tuple = function Tuple l -> l | v -> mismatch "tuple" v
 let equal (a : t) (b : t) = a = b
 
 let rec size_words = function

@@ -37,7 +37,6 @@ val to_float : t -> float
 val to_str : t -> string
 val to_addr : t -> addr
 val to_list : t -> t list
-val to_tuple : t -> t list
 
 val equal : t -> t -> bool
 

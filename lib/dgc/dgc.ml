@@ -542,47 +542,17 @@ let settle ?(max_rounds = 16) t =
   in
   loop 0 (-1)
 
-(* --- periodic driver (same pacing discipline as lib/migrate) ------- *)
+(* --- periodic driver ------------------------------------------------ *)
 
-let app_progress t =
-  let get = Simcore.Stats.get (Engine.stats t.machine) in
-  get "send.remote" + get "send.local.dormant" + get "send.local.active"
-  + get "send.local.inlined"
-  + get "send.local.naive_buffered"
-  + get "send.local.depth_limited"
-  + get "send.local.restore" + get "send.local.fault" + get "create.local"
-  + get "create.remote"
-
-let max_quiet_rounds = 4
-
+(* Collector work counts as progress because reclamation cascades
+   (recall, unstub, restock) span several rounds after the application
+   goes quiet; with neither moving, re-arming would sweep an unchanging
+   heap forever. *)
 let arm_timers t =
-  if t.interval_ns > 0 then begin
-    let p = Engine.node_count t.machine in
-    let rec tick last quiet () =
-      (* Quiet means neither the application nor the collector itself
-         made progress: re-arming then would sweep an unchanging heap
-         forever. Collector work resets the counter because reclamation
-         cascades (recall, unstub, restock) span several rounds after
-         the application goes quiet. *)
-      let progress = app_progress t + work t in
-      let quiet = if progress = last then quiet + 1 else 0 in
-      if quiet < max_quiet_rounds then begin
-        let round = ref (Engine.now t.machine) in
-        for i = 0 to p - 1 do
-          round := max !round (Machine.Node.now (Engine.node t.machine i))
-        done;
-        for i = 0 to p - 1 do
-          Simcore.Clock.advance_to
-            (Machine.Node.clock (Engine.node t.machine i))
-            !round;
-          ignore (sweep t ~node:i)
-        done;
-        Engine.schedule_at t.machine ~time:(!round + t.interval_ns)
-          (tick progress quiet)
-      end
-    in
-    Engine.schedule_at t.machine ~time:t.interval_ns (tick 0 0)
-  end
+  if t.interval_ns > 0 then
+    Services.Rounds.arm t.machine ~interval_ns:t.interval_ns
+      ~extra_progress:(fun () -> work t)
+      (fun ~node -> ignore (sweep t ~node))
 
 (* --- attachment ---------------------------------------------------- *)
 
@@ -700,31 +670,16 @@ let stubs_freed t = (Simcore.Stats.read t.c_stubs_freed)
 let restocked t = (Simcore.Stats.read t.c_restocked)
 let recalls t = (Simcore.Stats.read t.c_recalls)
 let unstubs t = (Simcore.Stats.read t.c_unstubs)
-let dec_entries t = (Simcore.Stats.read t.c_dec_entries)
-let dec_piggybacked t = (Simcore.Stats.read t.c_dec_piggybacked)
 
 let scion_weight t ~node ~slot =
   match Hashtbl.find_opt t.nodes.(node).d_scion slot with
   | Some w -> !w
   | None -> 0
 
-let stub_weight t ~node ~canon =
-  match Hashtbl.find_opt t.nodes.(node).d_stubs (key canon) with
-  | Some st -> st.st_weight
-  | None -> 0
-
 let has_stub t ~node ~canon = Hashtbl.mem t.nodes.(node).d_stubs (key canon)
 
 let resident_objects t ~node =
   Hashtbl.length (Core.System.rt t.sys node).Kernel.objects
-
-let total_resident t =
-  let p = Engine.node_count t.machine in
-  let n = ref 0 in
-  for i = 0 to p - 1 do
-    n := !n + resident_objects t ~node:i
-  done;
-  !n
 
 (* Conservation audit, valid at quiescence (no message in flight, so
    every manifest has been imported). For each canonical address:

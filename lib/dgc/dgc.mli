@@ -80,28 +80,14 @@ val recalls : t -> int
 val unstubs : t -> int
 (** Forwarding stubs dismantled after their object was freed. *)
 
-val dec_entries : t -> int
-(** Individual decrements carried by batched [G_dec] messages
-    ("dgc.dec.entries"); compare with "dgc.dec.msgs" for the batching
-    ratio. *)
-
-val dec_piggybacked : t -> int
-(** [G_dec] messages that travelled as riders on departing aggregation
-    batches instead of as packets of their own (coalescing only). *)
-
 val scion_weight : t -> node:int -> slot:int -> int
 (** Net weight the owner believes is outstanding for its local [slot]
     (0 when never exported; transiently negative under a debit race). *)
-
-val stub_weight : t -> node:int -> canon:Core.Value.addr -> int
-(** Weight the node holds for the remote address (0 without a stub). *)
 
 val has_stub : t -> node:int -> canon:Core.Value.addr -> bool
 
 val resident_objects : t -> node:int -> int
 (** Object-table population of the node (records of any kind). *)
-
-val total_resident : t -> int
 
 val audit : t -> string list
 (** Conservation check, meaningful only at quiescence (empty networks,

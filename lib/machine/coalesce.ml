@@ -48,13 +48,6 @@ let default_config =
 
 type cause = Size | Idle | Deadline | Ack | Credit
 
-let cause_name = function
-  | Size -> "size"
-  | Idle -> "idle"
-  | Deadline -> "deadline"
-  | Ack -> "ack"
-  | Credit -> "credit"
-
 type 'a chan = {
   mutable buf : 'a list;  (** newest first; reversed on take *)
   mutable frames : int;

@@ -35,8 +35,6 @@ val config : 'a t -> config
 (** Why a buffer was flushed (recorded per flush for diagnostics). *)
 type cause = Size | Idle | Deadline | Ack | Credit
 
-val cause_name : cause -> string
-
 type verdict =
   [ `Bypass  (** send alone now: empty buffer, idle port, credit held *)
   | `Opened  (** buffered into a fresh buffer: arm a deadline event *)

@@ -81,9 +81,6 @@ and t = {
       (** schedule-exploration hook: [decide tag bound] picks a value in
           [0, bound) at a named decision point; [None] (and a pick of 0)
           is the unperturbed baseline *)
-  mutable node_decision : (node:int -> string -> int -> int) option;
-      (** node-keyed decision hook: each node draws from its own stream,
-          so a parallel run records and replays without a shared cursor *)
   mutable tie_break_set : bool;
   mutable recovery : recovery_hooks option;
   mutable par : par option;  (** live only inside {!run_parallel} *)
@@ -117,15 +114,8 @@ and xitem = {
   x_src : int;
   x_seq : int;
   x_dst : int;
-  x_pay : xpayload;
+  x_pay : Am.t;  (* headed straight for the destination inbox *)
 }
-
-(* What crosses a boundary: a bare AM headed straight for the
-   destination inbox, or a sequenced protocol frame that re-enters the
-   owning domain's event queue as a [Frame_rx] — the receive-side
-   protocol work (acks, resequencing) must run on the receiving CPU
-   during its window, not at the boundary. *)
-and xpayload = X_am of Am.t | X_frame of Reliable.frame
 
 (* Per-run parallel state. Arrays indexed per domain use a [pstride]
    padding so no two domains share a cache line; cross-domain reads of
@@ -229,7 +219,6 @@ let create ?(config = default_config) ~nodes:n () =
           | None -> Some (Co_data (Coalesce.create ~config:c ~nodes:n ()))));
     piggyback = None;
     decision = None;
-    node_decision = None;
     tie_break_set = false;
     recovery = None;
     par = None;
@@ -264,8 +253,6 @@ let set_recovery_hooks t h = t.recovery <- h
 let reliable_in_flight t =
   match t.rel with Some rel -> Reliable.in_flight rel | None -> 0
 
-let coalesce_active t = Option.is_some t.co
-
 let coalesce_buffered t =
   match t.co with
   | Some (Co_data c) -> Coalesce.buffered c
@@ -280,7 +267,6 @@ let coalesce_stats t =
 
 let set_piggyback_source t hook = t.piggyback <- hook
 let set_decision_source t hook = t.decision <- hook
-let set_node_decision_source t hook = t.node_decision <- hook
 let set_tie_break t choose =
   (* Engine events carry no per-channel ordering of their own (frame
      arrivals re-sequence in the reliable layer), so every permutation
@@ -293,12 +279,6 @@ let decide t tag bound =
   match t.decision with
   | Some f when bound > 1 -> f tag bound
   | Some _ | None -> 0
-
-let decide_on t ~node tag bound =
-  match t.node_decision with
-  | Some f when bound > 1 -> f ~node tag bound
-  | Some _ -> 0
-  | None -> decide t tag bound
 
 (* --- parallel-run plumbing ---------------------------------------- *)
 
@@ -432,17 +412,8 @@ let defer p ~src ~dst ~arrival pay =
    deferred boundary item inside a parallel run. *)
 let deliver_remote t ~src ~dst ~arrival am =
   match t.par with
-  | Some p when p.p_running -> defer p ~src ~dst ~arrival (X_am am)
+  | Some p when p.p_running -> defer p ~src ~dst ~arrival am
   | _ -> deliver_local t ~dst ~arrival am
-
-(* Route a protocol-frame arrival. The fabric never carries loopback
-   traffic, so a frame always crosses nodes: a parallel run defers it
-   exactly like a bare-AM delivery and it re-enters the owning domain's
-   queue at the boundary. *)
-let frame_rx t ~src ~dst ~arrival frame =
-  match t.par with
-  | Some p when p.p_running -> defer p ~src ~dst ~arrival (X_frame frame)
-  | _ -> add_event t ~time:arrival (Frame_rx { src; dst; frame })
 
 (* --- reliable-delivery path (fault plan active) --- *)
 
@@ -470,7 +441,7 @@ let transmit_frame t ~control ~now ~src ~dst (frame : Reliable.frame) =
   List.iter
     (fun arrival ->
       emit_obs t ~time:arrival ~node:src (Obs_deliver { time = arrival; src; dst });
-      frame_rx t ~src ~dst ~arrival frame)
+      add_event t ~time:arrival (Frame_rx { src; dst; frame }))
     arrivals;
   eta
 
@@ -620,7 +591,7 @@ let flush_framed t rel co ~src ~dst ~now ~cause =
           List.iter2
             (fun fr at ->
               emit_obs t ~time:at ~node:src (Obs_deliver { time = at; src; dst });
-              frame_rx t ~src ~dst ~arrival:at fr)
+              add_event t ~time:at (Frame_rx { src; dst; frame = fr }))
             frames
             (staggered_arrivals t ~arrival sizes))
         arrivals;
@@ -646,11 +617,9 @@ let co_send_data t co ~src ~dst ~now am =
   | `Opened ->
       (* Deadline timing is a decision point: the check may fire up to
          half a deadline late, stretching the aggregation window the way
-         a busy host would. A pick of 0 is the exact deadline. Keyed by
-         the flushing node so a parallel run draws without a shared
-         cursor. *)
+         a busy host would. A pick of 0 is the exact deadline. *)
       let delay = (Coalesce.config co).Coalesce.max_delay_ns in
-      let jitter = decide_on t ~node:src "co.flush.delay" (1 + (delay / 2)) in
+      let jitter = decide t "co.flush.delay" (1 + (delay / 2)) in
       add_event t ~time:(now + delay + jitter) (Co_flush { src; dst })
   | `Buffered -> ()
   | `Threshold -> flush_data t co ~src ~dst ~now ~cause:Coalesce.Size
@@ -1051,12 +1020,14 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
   if t.config.fabric.Network.Fabric.contention then
     invalid_arg
       "Engine.run_parallel: fabric contention needs the sequential engine";
+  if Option.is_some t.recovery then
+    invalid_arg "Engine.run_parallel: recovery hooks need the sequential engine";
+  if Option.is_some t.rel then
+    invalid_arg "Engine.run_parallel: a fault plan needs the sequential engine";
   if Option.is_some t.decision then
-    invalid_arg
-      "Engine.run_parallel: global decision hook set (use \
-       set_node_decision_source)";
+    invalid_arg "Engine.run_parallel: decision hook set";
   if t.tie_break_set then
-    invalid_arg "Engine.run_parallel: global tie-break hook set";
+    invalid_arg "Engine.run_parallel: tie-break hook set";
   if Option.is_some t.par then
     invalid_arg "Engine.run_parallel: parallel run already active";
   let lookahead = Network.Fabric.min_remote_latency t.fabric in
@@ -1159,14 +1130,7 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
              !incoming
          in
          List.iter
-           (fun it ->
-             match it.x_pay with
-             | X_am am -> deliver_local t ~dst:it.x_dst ~arrival:it.x_time am
-             | X_frame frame ->
-                 (* The protocol work runs on the receiving CPU inside
-                    its next window, not at the boundary. *)
-                 add_event t ~time:it.x_time
-                   (Frame_rx { src = it.x_src; dst = it.x_dst; frame }))
+           (fun it -> deliver_local t ~dst:it.x_dst ~arrival:it.x_time it.x_pay)
            items;
          par.p_mins.(d * pad) <- Simcore.Event_queue.min_time q
        with e -> record_err d e);

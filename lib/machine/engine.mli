@@ -149,18 +149,15 @@ val run_parallel : ?max_slices:int -> t -> domains:int -> unit -> unit
     insertions in pop order rather than boundary order. Compare parallel
     runs with parallel runs.)
 
-    Fault plans, coalescing and recovery hooks are all accepted: fault
-    fates come from per-channel streams owned by the sending node's
-    domain, open aggregation buffers are node-local (flush triggers ride
-    the owning domain's window, and framed batches cross domains through
-    the boundary mailboxes with whole-batch fate preserved), and
-    checkpoint/restart timers are node-owned events. Still sequential-
-    only: fabric contention (a shared link-occupancy table), nodes
-    already down at call time, and the global decision / tie-break hooks
-    (use {!set_node_decision_source}); raises [Invalid_argument] for
-    those — and a rejected call is side-effect-free, leaving the engine
-    exactly as it was. [max_slices] bounds the total slice count across
-    all domains, checked once per round.
+    It admits fault-free machines only, with or without (fault-free)
+    coalescing: open aggregation buffers are node-local and their flush
+    triggers ride the owning domain's window. Sequential-only, and
+    rejected with [Invalid_argument]: a fault plan, attached
+    {!recovery_hooks}, fabric contention (a shared link-occupancy
+    table), nodes already down at call time, and the decision /
+    tie-break hooks. A rejected call is side-effect-free, leaving the
+    engine exactly as it was. [max_slices] bounds the total slice count
+    across all domains, checked once per round.
 
     Raises {!Lookahead_violation} if a cross-node effect lands inside
     the current window — only possible with a fabric config whose
@@ -282,9 +279,6 @@ val crash_dropped : t -> int
 
 (** {2 Message aggregation} *)
 
-val coalesce_active : t -> bool
-(** True iff the per-destination aggregation layer is live. *)
-
 val coalesce_buffered : t -> int
 (** Frames currently parked in open aggregation buffers (0 when
     aggregation is off, and at clean quiescence). *)
@@ -324,14 +318,3 @@ val decide : t -> string -> int -> int
     recovery manager's crash re-timing, checkpoint staggering) can add
     decision points of their own that record and replay through the
     same choice vector as the engine's. *)
-
-val set_node_decision_source :
-  t -> (node:int -> string -> int -> int) option -> unit
-(** Node-keyed variant of {!set_decision_source}: each node draws from
-    its own recorded stream, so there is no shared cursor whose order
-    would depend on the execution interleaving. The only decision hook
-    {!run_parallel} accepts. *)
-
-val decide_on : t -> node:int -> string -> int -> int
-(** [decide_on t ~node tag bound] consults the node-keyed hook; without
-    one it falls back to {!decide} (sequential runs only). *)

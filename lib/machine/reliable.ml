@@ -68,10 +68,7 @@ type t = {
   cfg : config;
   nodes : int;
   (* Channel state is preallocated for every (src, dst) pair rather than
-     created lazily on first use: a parallel run then only ever mutates
-     the per-channel records (each touched by a single domain — the
-     tx side by the sender's, the rx side by the receiver's), never a
-     shared table. *)
+     created lazily on first use. *)
   txs : tx array;  (** indexed by src * nodes + dst *)
   rxs : rx array;  (** indexed by src * nodes + dst *)
   mutable journal : journal option;

@@ -116,7 +116,6 @@ type t = {
   c_limbo : Simcore.Stats.cell;
   c_dup : Simcore.Stats.cell;
   c_colocated : Simcore.Stats.cell;
-  mutable hop_max : int;
 }
 
 let key (a : Value.addr) = (a.Value.node, a.Value.slot)
@@ -276,7 +275,6 @@ let forward_via_stub t rt (f : Kernel.fwd) ~sender ~seq ~hop msg =
   Kernel.charge rt (Engine.cost t.machine).Cost_model.migrate_forward;
   Simcore.Stats.bump t.c_fwd;
   Simcore.Stats.bump t.c_fwd_node.(my_id);
-  t.hop_max <- max t.hop_max hop;
   cache_learn (nstate_of t my_id) f.Kernel.fwd_canon f.Kernel.fwd_to
     f.Kernel.fwd_epoch;
   send_m_msg t rt ~dst:f.Kernel.fwd_to.Value.node ~canon:f.Kernel.fwd_canon
@@ -761,57 +759,14 @@ let policy_tick t ~node:my_id =
         (Engine.now t.machine);
       apply_decisions t rt (Policy.decide policy (view t ~node:my_id))
 
-(* Application progress, measured positively: object sends and
-   creations the program itself performed. The subsystem's own Service
-   traffic (M_msg / M_install / M_update, their reliable-layer acks)
-   never bumps these counters, so it cannot keep its own timer alive —
-   gating on [Engine.quiescent] or on reliable-layer in-flight counts
-   would: each round's unacked install frames read as "busy" at the
-   next round, which then moves an idle object again, forever. *)
-let app_progress t =
-  let get = Simcore.Stats.get (Engine.stats t.machine) in
-  get "send.remote" + get "send.local.dormant" + get "send.local.active"
-  + get "send.local.inlined"
-  + get "send.local.naive_buffered"
-  + get "send.local.depth_limited"
-  + get "send.local.restore" + get "send.local.fault" + get "create.local"
-  + get "create.remote"
-
-(* Rounds whose progress delta is zero before the timer gives up. One
-   quiet round is not enough: a retransmission gap can stall the
-   application across a round with nothing new sent. Stopping early is
-   harmless (a policy has nothing useful to do for a stalled or finished
-   application); never stopping is a livelock. *)
-let max_quiet_rounds = 4
-
-(* One synchronized policy round per interval, paced on the busiest
-   node's clock (a hybrid-scheduled cascade advances one clock by
-   milliseconds within a single event; pacing on the event clock would
-   run thousands of rounds per application slice). *)
+(* One synchronized policy round per interval. The subsystem's own
+   Service traffic (M_msg / M_install / M_update, their reliable-layer
+   acks) never counts as progress, so it cannot keep its own timer
+   alive. *)
 let arm_policy_timers t =
-  if t.interval_ns > 0 && Option.is_some t.policy then begin
-    let p = Engine.node_count t.machine in
-    let rec tick last_progress quiet () =
-      let progress = app_progress t in
-      let quiet = if progress = last_progress then quiet + 1 else 0 in
-      if quiet < max_quiet_rounds then begin
-        let round = ref (Engine.now t.machine) in
-        for i = 0 to p - 1 do
-          round := max !round (Machine.Node.now (Engine.node t.machine i))
-        done;
-        for i = 0 to p - 1 do
-          Simcore.Clock.advance_to
-            (Machine.Node.clock (Engine.node t.machine i))
-            !round;
-          ignore (policy_tick t ~node:i)
-        done;
-        Engine.schedule_at t.machine
-          ~time:(!round + t.interval_ns)
-          (tick progress quiet)
-      end
-    in
-    Engine.schedule_at t.machine ~time:t.interval_ns (tick 0 0)
-  end
+  if t.interval_ns > 0 && Option.is_some t.policy then
+    Services.Rounds.arm t.machine ~interval_ns:t.interval_ns (fun ~node ->
+        ignore (policy_tick t ~node))
 
 (* --- attachment --------------------------------------------------- *)
 
@@ -893,7 +848,6 @@ let attach ?policy ?(interval_ns = 0) ?load sys =
       c_limbo = Simcore.Stats.counter stats "migrate.limbo";
       c_dup = Simcore.Stats.counter stats "migrate.dup_drop";
       c_colocated = Simcore.Stats.counter stats "migrate.colocated";
-      hop_max = 0;
     }
   in
   tref := Some t;
@@ -972,7 +926,6 @@ let readvertise t ~node =
 let migrations t = (Simcore.Stats.read t.c_out)
 let forwarded t = (Simcore.Stats.read t.c_fwd)
 let colocated_sends t = (Simcore.Stats.read t.c_colocated)
-let max_hop_seen t = t.hop_max
 
 let stub_count t ~node =
   Hashtbl.fold

@@ -66,9 +66,6 @@ val colocated_sends : t -> int
 (** Sends whose remote-looking target was physically local — the
     payoff of affinity migration. *)
 
-val max_hop_seen : t -> int
-(** Largest forwarding hop count observed on any delivered message. *)
-
 val stub_count : t -> node:int -> int
 (** Live forwarding stubs resident on the node. *)
 

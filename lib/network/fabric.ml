@@ -54,7 +54,6 @@ let create ?(config = default_config) ?faults topo =
 
 let topology t = t.topo
 let config t = t.config
-let fault_plan t = Option.map Faults.plan_of t.faults
 let faults_state t = t.faults
 
 (* Round up: a partial flit still occupies the link for a whole cycle, so

@@ -41,9 +41,6 @@ val topology : 'a t -> Topology.t
 
 val config : 'a t -> config
 
-val fault_plan : 'a t -> Faults.plan option
-(** The plan this fabric was created with, if any. *)
-
 val faults_state : 'a t -> Faults.t option
 (** The live fault state, if a plan was configured. Exposed so a
     recovery manager can re-time crash windows ({!Faults.set_crashes})

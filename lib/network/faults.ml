@@ -45,8 +45,7 @@ type t = {
   (* per-(src, dst) channel streams; the seed of each is a pure function
      of (plan seed, src, dst), so creation order is irrelevant to the
      draws. When the node count is known at creation every stream is
-     preallocated eagerly — a parallel run then never mutates the table,
-     only the (per-channel, single-writer) streams inside it. *)
+     preallocated eagerly. *)
   channels : (int * int, Simcore.Rng.t) Hashtbl.t;
 }
 
@@ -66,7 +65,6 @@ let create ?nodes p =
       done);
   { t_plan = p; t_crashes = p.crashes; channels }
 
-let plan_of t = t.t_plan
 let crash_windows t = t.t_crashes
 
 let set_crashes t ws =
@@ -122,7 +120,3 @@ let fate t ~src ~dst =
     f_dup_jitter = dup_jit;
   }
 
-let pp_plan ppf p =
-  Format.fprintf ppf
-    "faults{seed=%d drop=%.3f dup=%.3f jitter=%dns crashes=%d}" p.seed p.drop
-    p.duplicate p.jitter_ns (List.length p.crashes)

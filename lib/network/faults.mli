@@ -56,13 +56,8 @@ val create : ?nodes:int -> plan -> t
 (** Instantiates the plan. With [~nodes] every per-channel stream is
     preallocated eagerly (each stream's seed is a pure function of the
     plan seed and the channel endpoints, so eager creation draws
-    nothing); a parallel run then never mutates the channel table, only
-    the single-writer streams inside it. Without [~nodes] streams are
-    created lazily on first use — sequential engine only. *)
-
-val plan_of : t -> plan
-(** The plan this state was created from. Its [crashes] field is the
-    {e original} script; {!crash_windows} is the live set. *)
+    nothing). Without [~nodes] streams are created lazily on first
+    use. *)
 
 val crash_windows : t -> window list
 (** The crash windows currently in force (the plan's, unless
@@ -90,5 +85,3 @@ val fate : t -> src:int -> dst:int -> fate
 (** Draws the next per-packet fate from the (src, dst) channel stream.
     Crash windows are {e not} consulted here — they depend on the send
     and arrival times, which only the fabric knows. *)
-
-val pp_plan : Format.formatter -> plan -> unit

@@ -150,17 +150,14 @@ let checkpoint t i =
 
 (* --- the engine hooks --- *)
 
-(* Arm a checkpoint for node [i] at [at] (plus a node-keyed stagger
-   jitter) unless one is already pending. The timer is a node-owned
-   event, so a parallel run executes it on the owning domain; [at] must
-   be count-invariant (an arrival stamp or the node's own clock — never
-   the engine cursor, which is domain-local between events). *)
+(* Arm a checkpoint for node [i] at [at] (plus a stagger jitter drawn
+   at a decision point) unless one is already pending. *)
 let rec arm_ckpt t i ~at =
   let ns = t.ns.(i) in
   if not ns.ckpt_armed then begin
     ns.ckpt_armed <- true;
     let jitter =
-      Engine.decide_on t.eng ~node:i "recover.ckpt.stagger"
+      Engine.decide t.eng "recover.ckpt.stagger"
         (1 + (t.cfg.checkpoint_every_ns / 4))
     in
     Engine.schedule_on t.eng ~node:i ~time:(at + jitter) (ckpt_tick t i)
@@ -168,10 +165,9 @@ let rec arm_ckpt t i ~at =
 
 (* Checkpoints are activity-driven: a delivery or dispatch marks the
    node dirty and arms a timer one period out, so safe-points align
-   with the node's own event stream (and, in a parallel run, with its
-   round windows) instead of a global engine clock. A down node skips
-   its tick — snapshotting wiped state would lose the replay logs —
-   and re-arms from its first post-restart activity. *)
+   with the node's own event stream instead of a global engine clock.
+   A down node skips its tick — snapshotting wiped state would lose the
+   replay logs — and re-arms from its first post-restart activity. *)
 and ckpt_tick t i () =
   let ns = t.ns.(i) in
   ns.ckpt_armed <- false;
@@ -291,7 +287,6 @@ let crash t i ~restart_at =
   Engine.crash_node t.eng i ~restart_at:ra;
   t.app.a_reset i;
   Simcore.Stats.bump t.c_crashes;
-  (* Node-owned: the restart runs on the domain that owns the node. *)
   Engine.schedule_on t.eng ~node:i ~time:ra (fun () -> restart t i)
 
 (* --- wiring --- *)
@@ -386,11 +381,11 @@ let attach ?(config = default_config) eng ~app ~crashes () =
     List.map
       (fun cs ->
         let jc =
-          Engine.decide_on eng ~node:cs.cs_node "recover.crash.jitter"
+          Engine.decide eng "recover.crash.jitter"
             (cs.cs_jitter_ns + 1)
         in
         let jr =
-          Engine.decide_on eng ~node:cs.cs_node "recover.restart.jitter"
+          Engine.decide eng "recover.restart.jitter"
             (cs.cs_jitter_ns + 1)
         in
         let at = cs.cs_at + jc in
@@ -407,15 +402,13 @@ let attach ?(config = default_config) eng ~app ~crashes () =
   | None -> assert false (* faults_active checked above *));
   List.iter
     (fun (cs, at, ra) ->
-      (* Node-owned: the crash (and the restart it schedules) executes
-         on the domain that owns the node. *)
       Engine.schedule_on eng ~node:cs.cs_node ~time:at (fun () ->
           crash t cs.cs_node ~restart_at:ra))
     timed;
   (* Checkpoint 0: persist the pristine state so the very first crash
      already has something to restore. Later checkpoints are activity-
      driven — the first delivery or dispatch after a snapshot arms a
-     per-node timer one period (plus a node-keyed stagger) out. *)
+     per-node timer one period (plus a stagger) out. *)
   for i = 0 to n - 1 do
     ignore (checkpoint t i : bool)
   done;

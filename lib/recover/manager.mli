@@ -70,12 +70,9 @@ val attach :
   unit ->
   t
 (** Wires the recovery hooks and journal, re-times and installs the
-    crash windows (each crash/restart scheduled as a node-owned timer,
-    so a parallel run executes it on the owning domain) and takes
-    checkpoint 0 on every node. Later checkpoints are activity-driven:
+    crash windows and takes checkpoint 0 on every node. Later checkpoints are activity-driven:
     the first delivery or dispatch after a snapshot arms a per-node
-    timer one period (plus a node-keyed ["recover.ckpt.stagger"]
-    jitter) out, so safe-points follow each node's own event stream.
+    timer one period (plus a ["recover.ckpt.stagger"] jitter) out, so safe-points follow each node's own event stream.
     Call after registering handlers and before posting any work. Raises
     [Invalid_argument] if the machine has no fault plan (the reliable
     layer must be live) or a crash spec is malformed. *)

@@ -260,11 +260,3 @@ let stats t =
     s_cold_records = cold_records;
     s_cold_bytes = cold_bytes;
   }
-
-let pp_stats ppf s =
-  Format.fprintf ppf
-    "store{puts=%d (%dB) gets=%d evict=%d fault=%d appends=%d (%dB) blocks=%d/%d hi=%d cold=%d}"
-    s.s_puts s.s_put_bytes s.s_gets s.s_evictions s.s_faults s.s_appends
-    s.s_append_bytes s.s_blocks_used
-    (s.s_blocks_used + s.s_blocks_free)
-    s.s_blocks_high s.s_cold_records

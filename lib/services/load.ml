@@ -48,68 +48,15 @@ let broadcast_node t ~node:my_id =
 
 let broadcast t ctx = broadcast_node t ~node:(Core.Ctx.node_id ctx)
 
-(* Application progress, measured positively: object sends and creations
-   the program itself performed. Gossip traffic never bumps these
-   counters, so the timer cannot keep itself alive. Any machine-level
-   "busy" test (runnable thunks, inbox depth, reliable-layer in-flight
-   frames) reads the gossip's own messages and lagging acks as activity
-   and ticks forever; this test can only err towards stopping early
-   (app frames in the fabric with no new sends yet), which merely
-   leaves load views stale. *)
-let app_progress t =
-  let get = Simcore.Stats.get (Core.System.stats t.system) in
-  get "send.remote" + get "send.local.dormant" + get "send.local.active"
-  + get "send.local.inlined"
-  + get "send.local.naive_buffered"
-  + get "send.local.depth_limited"
-  + get "send.local.restore" + get "send.local.fault" + get "create.local"
-  + get "create.remote"
-
-(* Rounds with a zero progress delta before the timer gives up. One
-   quiet round is not enough — a retransmission gap can stall the
-   application across a round. *)
-let max_quiet_rounds = 4
-
-(* Periodic auto-gossip (rt_config.gossip_interval_ns): one synchronized
-   round per interval, every node re-broadcasting its load. Once rounds
-   stop observing application progress they stop re-arming, so
-   [Engine.run] terminates once the application drains.
-
-   The rounds are paced on the *busiest node's clock*, not on the
-   engine's event clock: a hybrid-scheduled cascade advances one node's
-   clock by milliseconds inside a single event, during which the event
-   clock barely moves. Pacing on the event clock would run thousands of
-   gossip rounds per application slice — flooding the busy node's inbox
-   and charging it send overhead each round while it makes no progress.
-   Re-arming at [max node clock + interval] yields one round per
-   interval of actual computational progress. *)
+(* Periodic auto-gossip (rt_config.gossip_interval_ns): every node
+   re-broadcasts its load once per round. *)
 let arm_auto_gossip t =
-  let machine = Core.System.machine t.system in
-  let interval =
+  let interval_ns =
     (Core.System.config t.system).Core.Kernel.gossip_interval_ns
   in
-  if interval > 0 then begin
-    let p = Engine.node_count machine in
-    let rec tick last_progress quiet () =
-      let progress = app_progress t in
-      let quiet = if progress = last_progress then quiet + 1 else 0 in
-      if quiet < max_quiet_rounds then begin
-        let round = ref (Engine.now machine) in
-        for i = 0 to p - 1 do
-          round := max !round (Machine.Node.now (Engine.node machine i))
-        done;
-        for i = 0 to p - 1 do
-          Simcore.Clock.advance_to
-            (Machine.Node.clock (Engine.node machine i))
-            !round;
-          broadcast_node t ~node:i
-        done;
-        Engine.schedule_at machine ~time:(!round + interval)
-          (tick progress quiet)
-      end
-    in
-    Engine.schedule_at machine ~time:interval (tick 0 0)
-  end
+  if interval_ns > 0 then
+    Rounds.arm (Core.System.machine t.system) ~interval_ns (fun ~node ->
+        broadcast_node t ~node)
 
 let attach system =
   let machine = Core.System.machine system in

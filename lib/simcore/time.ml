@@ -1,7 +1,6 @@
 type t = int
 
 let zero = 0
-let of_ns ns = ns
 let of_us us = int_of_float (Float.round (us *. 1_000.))
 let to_us t = float_of_int t /. 1_000.
 let to_ms t = float_of_int t /. 1_000_000.

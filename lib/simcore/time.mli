@@ -8,8 +8,6 @@ type t = int
 
 val zero : t
 
-val of_ns : int -> t
-
 val of_us : float -> t
 (** [of_us x] converts microseconds to nanoseconds, rounding to nearest. *)
 

@@ -90,8 +90,7 @@ let draw_op cfg rng =
   else if r < m.m_get + m.m_put + m.m_cas then Apps.Kv_store.Cas
   else Apps.Kv_store.Mget
 
-(* [decide] abstracts over the engine's global decision source (classic
-   chain) and the per-node one (sharded chains). *)
+(* [decide] is the engine's decision source ({!Engine.decide}). *)
 let draw_key t rng ~decide =
   let keyspace = Apps.Kv_store.keyspace t.kv in
   match t.zipf_cdf with
@@ -191,6 +190,7 @@ let launch_sharded cfg sys kv =
         })
   in
   let t = make ~gens cfg sys kv in
+  let decide = Engine.decide machine in
   (* Each chain offers 1/nodes of the rate; superposed independent
      Poisson processes recover the configured aggregate rate. *)
   let period = period_ns cfg *. float_of_int nodes in
@@ -198,12 +198,10 @@ let launch_sharded cfg sys kv =
     (fun g ->
       if g.g_share > 0 then begin
         let node = g.g_node in
-        let decide tag n = Engine.decide_on machine ~node tag n in
         let rec arm at =
           (* [schedule_on] pins the timer to the chain's node, so under
-             [run_parallel] the whole chain — draws, decision points,
-             the local post behind [send_boot] — executes on that
-             node's domain. *)
+             [run_parallel] the whole chain — draws and the local post
+             behind [send_boot] — executes on that node's domain. *)
           Engine.schedule_on machine ~node ~time:at (fun () ->
               (* Globally unique and schedule-independent: chain [node]
                  owns the ids congruent to [node] mod [nodes]. *)

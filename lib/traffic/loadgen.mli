@@ -62,8 +62,7 @@ val launch_sharded : config -> Core.System.t -> Apps.Kv_store.t -> t
     [rate_rps / nodes] (superposed independent Poisson chains recover
     the aggregate rate) and injecting only at its own node's client.
     Chain [n] draws from [Rng.derive base ~index:n] — a pure function
-    of [(seed, n)] — consults the {e per-node} decision source
-    ({!Machine.Engine.decide_on}), and owns the request ids congruent
+    of [(seed, n)] — and owns the request ids congruent
     to [n] modulo the node count ([requests] split evenly, remainder to
     low nodes). Every chain's timers, draws and posts stay on its own
     node, so this is the arrival mode for {!Core.System.run_parallel};

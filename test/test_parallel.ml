@@ -1,19 +1,18 @@
 (* Tests for the parallel simulation engine: the cross-domain SPSC
    mailbox, the round barrier, the conservative lookahead (horizon)
    computation, sharded stats/histogram merging, per-node RNG stream
-   derivation, and the headline determinism property — the same
-   recorded sharded schedule produces identical Timeline hashes and
-   identical merged KV metric folds at 1, 2 and 4 domains. Also the
-   guard-path contract (a rejected [run_parallel] is side-effect-free),
-   the structured [Lookahead_violation] error, and the lifted feature
-   envelope: faults + coalescing + crash recovery under domains. *)
+   derivation, and the headline determinism property — the sharded
+   open-loop KV workload produces identical Timeline hashes and
+   identical merged KV metric folds at 1, 2, 4 and 8 domains. Also the
+   guard-path contract (a rejected [run_parallel] — contention, a
+   tie-break hook, a fault plan, recovery hooks — is side-effect-free)
+   and the structured [Lookahead_violation] error. *)
 
 open Core
 module Engine = Machine.Engine
 module Coalesce = Machine.Coalesce
 module Manager = Recover.Manager
 module Fabric = Network.Fabric
-module Faults = Network.Faults
 module Kv = Apps.Kv_store
 module Loadgen = Traffic.Loadgen
 module Spsc = Simcore.Spsc
@@ -21,7 +20,6 @@ module Barrier = Simcore.Barrier
 module Rng = Simcore.Rng
 module Stats = Simcore.Stats
 module Histogram = Simcore.Histogram
-module Schedule = Check.Schedule
 
 (* --- SPSC mailbox ---------------------------------------------------- *)
 
@@ -133,12 +131,12 @@ let test_run_parallel_rejects_gossip () =
    engine. If the rejected call touched any state — sharded the stats,
    drained the event queue into per-domain queues — the sequential run
    afterwards diverges from a clean twin that was never offered to the
-   parallel engine. *)
-let run_seq_workload ?machine_config ~seed ~source ~trip () =
+   parallel engine. [setup] runs on both twins, before the spawn. *)
+let run_seq_workload ?machine_config ~setup ~seed ~trip () =
   let kv = Kv.create ~shards:4 () in
   let sys = System.boot ?machine_config ~nodes:4 ~classes:(Kv.classes kv) () in
   let machine = System.machine sys in
-  Engine.set_node_decision_source machine (Some source);
+  setup machine;
   Kv.spawn kv sys;
   let tl = Services.Timeline.attach sys in
   let _lg =
@@ -158,20 +156,12 @@ let run_seq_workload ?machine_config ~seed ~source ~trip () =
   Services.Timeline.detach tl;
   (h, Kv.completed kv, Engine.events_processed machine)
 
-let check_rejection_side_effect_free ?machine_config ~seed ~trip () =
-  let sh = Schedule.record_sharded ~seed ~nodes:4 in
+let check_rejection_side_effect_free ?machine_config ?(setup = ignore) ~seed
+    ~trip () =
   let clean =
-    run_seq_workload ?machine_config ~seed
-      ~source:(Schedule.node_source sh)
-      ~trip:(fun _ -> ())
-      ()
+    run_seq_workload ?machine_config ~setup ~seed ~trip:(fun _ -> ()) ()
   in
-  let replayed = Schedule.replay_sharded (Schedule.traces sh) in
-  let tripped =
-    run_seq_workload ?machine_config ~seed
-      ~source:(Schedule.node_source replayed)
-      ~trip ()
-  in
+  let tripped = run_seq_workload ?machine_config ~setup ~seed ~trip () in
   let h_clean, done_clean, ev_clean = clean in
   let h_tripped, done_tripped, ev_tripped = tripped in
   Alcotest.(check bool)
@@ -180,14 +170,54 @@ let check_rejection_side_effect_free ?machine_config ~seed ~trip () =
   Alcotest.(check int) "same requests completed" done_clean done_tripped;
   Alcotest.(check int) "same events processed" ev_clean ev_tripped
 
+(* Offer the machine to [run_parallel] and require the rejection whose
+   message is [expect]. *)
+let expect_rejection machine ~what ~expect =
+  match Engine.run_parallel machine ~domains:2 () with
+  | () -> Alcotest.failf "run_parallel accepted %s" what
+  | exception Invalid_argument msg ->
+      Alcotest.(check string) ("rejected for " ^ what) expect msg
+
 let test_rejected_tie_break_side_effect_free () =
   check_rejection_side_effect_free ~seed:91
     ~trip:(fun machine ->
       Engine.set_tie_break machine (Some (fun _ -> 0));
-      (match Engine.run_parallel machine ~domains:2 () with
-      | () -> Alcotest.fail "run_parallel accepted a global tie-break hook"
-      | exception Invalid_argument _ -> ());
+      expect_rejection machine ~what:"a tie-break hook"
+        ~expect:"Engine.run_parallel: tie-break hook set";
       Engine.set_tie_break machine None)
+    ()
+
+let faulted_config =
+  {
+    Engine.default_config with
+    Engine.faults =
+      Some (Network.Faults.plan ~seed:5 ~drop:0.02 ~duplicate:0.01 ());
+  }
+
+let test_rejected_fault_plan_side_effect_free () =
+  check_rejection_side_effect_free ~machine_config:faulted_config ~seed:93
+    ~trip:(fun machine ->
+      expect_rejection machine ~what:"a fault plan"
+        ~expect:"Engine.run_parallel: a fault plan needs the sequential engine")
+    ()
+
+(* A recovery manager needs a fault plan; the recovery guard is checked
+   first, so this trip proves that guard on its own. No crash is
+   scripted: the manager only checkpoints, on both twins. *)
+let test_rejected_recovery_side_effect_free () =
+  let app =
+    {
+      Manager.a_snapshot = (fun _ -> Some Bytes.empty);
+      a_restore = (fun _ _ -> ());
+      a_reset = ignore;
+    }
+  in
+  check_rejection_side_effect_free ~machine_config:faulted_config
+    ~setup:(fun machine -> ignore (Manager.attach machine ~app ~crashes:[] ()))
+    ~seed:94
+    ~trip:(fun machine ->
+      expect_rejection machine ~what:"a recovery manager"
+        ~expect:"Engine.run_parallel: recovery hooks need the sequential engine")
     ()
 
 let test_rejected_contention_side_effect_free () =
@@ -199,9 +229,9 @@ let test_rejected_contention_side_effect_free () =
   in
   check_rejection_side_effect_free ~machine_config ~seed:92
     ~trip:(fun machine ->
-      match Engine.run_parallel machine ~domains:2 () with
-      | () -> Alcotest.fail "run_parallel accepted a contention fabric"
-      | exception Invalid_argument _ -> ())
+      expect_rejection machine ~what:"a contention fabric"
+        ~expect:
+          "Engine.run_parallel: fabric contention needs the sequential engine")
     ()
 
 (* --- structured lookahead violations --------------------------------- *)
@@ -335,14 +365,12 @@ let test_rng_derive_pure () =
 
 (* --- the determinism property ---------------------------------------- *)
 
-(* One parallel run of the sharded open-loop workload under a given
-   node-keyed decision source; returns the Timeline hash and an
-   order-insensitive fold of the merged KV metrics. *)
-let run_sharded ~seed ~domains ~source =
+(* One parallel run of the sharded open-loop workload with Loadgen seed
+   [seed]; returns the Timeline hash and an order-insensitive fold of
+   the merged KV metrics. *)
+let run_sharded ~seed ~domains =
   let kv = Kv.create ~shards:4 () in
   let sys = System.boot ~nodes:4 ~classes:(Kv.classes kv) () in
-  let machine = System.machine sys in
-  Engine.set_node_decision_source machine (Some source);
   Kv.spawn kv sys;
   let tl = Services.Timeline.attach sys in
   let lg =
@@ -370,25 +398,18 @@ let run_sharded ~seed ~domains ~source =
   let audit = Loadgen.audit lg sys in
   (h, fold, audit)
 
-let prop_parallel_replay_identical =
+let prop_parallel_identical =
   QCheck.Test.make ~count:5
-    ~name:"recorded sharded schedule is bit-identical at 1/2/4 domains"
+    ~name:"sharded open loop is bit-identical at 1/2/4 domains"
     QCheck.(int_range 1 5_000)
     (fun seed ->
-      let sh = Schedule.record_sharded ~seed ~nodes:4 in
-      let h1, fold1, audit1 =
-        run_sharded ~seed ~domains:1 ~source:(Schedule.node_source sh)
-      in
+      let h1, fold1, audit1 = run_sharded ~seed ~domains:1 in
       if audit1 <> [] then
         QCheck.Test.fail_reportf "seed %d: 1-domain audit unclean: %s" seed
           (String.concat "; " audit1);
-      let traces = Schedule.traces sh in
       List.iter
         (fun domains ->
-          let replayed = Schedule.replay_sharded traces in
-          let h, fold, audit =
-            run_sharded ~seed ~domains ~source:(Schedule.node_source replayed)
-          in
+          let h, fold, audit = run_sharded ~seed ~domains in
           if h <> h1 then
             QCheck.Test.fail_reportf
               "seed %d: Timeline hash diverged at %d domains" seed domains;
@@ -448,172 +469,12 @@ let test_oversubscribed_domains_identical () =
      host cores must still terminate and agree (the barrier blocks
      rather than spins). *)
   let seed = 17 in
-  let sh = Schedule.record_sharded ~seed ~nodes:4 in
-  let h1, fold1, _ =
-    run_sharded ~seed ~domains:1 ~source:(Schedule.node_source sh)
-  in
-  let replayed = Schedule.replay_sharded (Schedule.traces sh) in
-  let h8, fold8, audit8 =
-    run_sharded ~seed ~domains:8 ~source:(Schedule.node_source replayed)
-  in
+  let h1, fold1, _ = run_sharded ~seed ~domains:1 in
+  let h8, fold8, audit8 = run_sharded ~seed ~domains:8 in
   Alcotest.(check bool) "hash identical at 8 domains" true (h1 = h8);
   Alcotest.(check bool) "metric fold identical at 8 domains" true
     (fold1 = fold8);
   Alcotest.(check (list string)) "audit clean at 8 domains" [] audit8
-
-(* --- the lifted feature envelope ------------------------------------- *)
-
-type Machine.Am.payload += Hs_seq of { k : int }
-
-(* The hostile composition: a fault plan (drop, duplicate, jitter), so
-   every send goes through the reliable layer; framed coalescing, so
-   frames batch and share fates; and a recovery manager with a crash
-   window over node 1, so a checkpoint/journal/replay cycle runs
-   mid-stream. Drivers are node-owned timers that post to their own
-   node, so every construct is parallel-safe. Returns the Timeline
-   hash, an order-insensitive fold of every feature's metrics, and the
-   manager's quiescent audit. *)
-let run_hostile ~seed ~domains ~source =
-  let nodes = 4 in
-  let plan =
-    Faults.plan ~seed:(seed + 7) ~drop:0.03 ~duplicate:0.02 ~jitter_ns:400 ()
-  in
-  let config =
-    {
-      Engine.default_config with
-      Engine.faults = Some plan;
-      coalesce = Some { Coalesce.default_config with Coalesce.max_delay_ns = 2_000 };
-    }
-  in
-  let m = Engine.create ~config ~nodes () in
-  Engine.set_node_decision_source m (Some source);
-  let tl = Services.Timeline.attach_machine m in
-  let next = Array.init nodes (fun _ -> Hashtbl.create 8) in
-  let h =
-    Engine.register_handler m Machine.Am.Service ~name:"hostile-seq"
-      (fun _ node am ->
-        match am.Machine.Am.payload with
-        | Hs_seq { k } ->
-            let me = Machine.Node.id node in
-            let src = am.Machine.Am.src in
-            let cur = Option.value (Hashtbl.find_opt next.(me) src) ~default:0 in
-            Hashtbl.replace next.(me) src (max (k + 1) cur)
-        | _ -> ())
-  in
-  let app =
-    {
-      Manager.a_snapshot =
-        (fun node ->
-          let slice =
-            Hashtbl.fold (fun src k acc -> (src, k) :: acc) next.(node) []
-          in
-          Some (Marshal.to_bytes (List.sort compare slice) []));
-      a_restore =
-        (fun node b ->
-          Hashtbl.reset next.(node);
-          List.iter
-            (fun (src, k) -> Hashtbl.replace next.(node) src k)
-            (Marshal.from_bytes b 0 : (int * int) list));
-      a_reset = (fun node -> Hashtbl.reset next.(node));
-    }
-  in
-  let crashes =
-    [
-      {
-        Manager.cs_node = 1;
-        cs_at = 50_000;
-        cs_down_ns = 30_000;
-        cs_jitter_ns = 1_500;
-      };
-    ]
-  in
-  let mgr = Manager.attach m ~app ~crashes () in
-  (* Every node streams sequence numbers at its neighbour from timers
-     it owns; a timer firing while its node is down skips the burst
-     (count-invariantly — down windows are part of the schedule). *)
-  for s = 0 to nodes - 1 do
-    for r = 0 to 5 do
-      Engine.schedule_on m ~node:s
-        ~time:(8_000 + (r * 18_000))
-        (fun () ->
-          if not (Engine.node_down m s) then
-            Engine.post m (Engine.node m s) (fun () ->
-                let src = Engine.node m s in
-                for i = 0 to 4 do
-                  Engine.send_am m ~src ~dst:((s + 1) mod nodes) ~handler:h
-                    ~size_bytes:16
-                    (Hs_seq { k = (r * 5) + i })
-                done))
-    done
-  done;
-  Engine.run_parallel m ~domains ();
-  let hash = Services.Timeline.hash tl in
-  Services.Timeline.detach tl;
-  let st = Engine.stats m in
-  let delivered =
-    Array.to_list
-      (Array.map
-         (fun tbl ->
-           List.sort compare
-             (Hashtbl.fold (fun s k acc -> (s, k) :: acc) tbl []))
-         next)
-  in
-  let co =
-    match Engine.coalesce_stats m with
-    | Some s -> (s.Coalesce.s_batches, s.Coalesce.s_singles, s.Coalesce.s_frames)
-    | None -> (0, 0, 0)
-  in
-  let fold =
-    ( Engine.elapsed m,
-      Engine.packets_sent m,
-      Engine.packets_dropped m,
-      Engine.packets_duplicated m,
-      Engine.crash_dropped m,
-      ( Stats.get st "reliable.retransmit",
-        Stats.get st "reliable.dup_discard",
-        Stats.get st "recover.crashes",
-        Stats.get st "recover.restarts",
-        Stats.get st "recover.replayed",
-        Stats.get st "recover.ckpts" ),
-      co,
-      delivered )
-  in
-  let aud = Manager.audit_quiescent mgr in
-  Manager.detach mgr;
-  (hash, fold, aud)
-
-let prop_hostile_envelope_identical =
-  QCheck.Test.make ~count:4
-    ~name:"faults + coalescing + crash recovery bit-identical at 1/2/4 domains"
-    QCheck.(int_range 1 5_000)
-    (fun seed ->
-      let sh = Schedule.record_sharded ~seed ~nodes:4 in
-      let h1, fold1, aud1 =
-        run_hostile ~seed ~domains:1 ~source:(Schedule.node_source sh)
-      in
-      if aud1 <> [] then
-        QCheck.Test.fail_reportf "seed %d: 1-domain recovery audit unclean: %s"
-          seed (String.concat "; " aud1);
-      let traces = Schedule.traces sh in
-      List.iter
-        (fun domains ->
-          let replayed = Schedule.replay_sharded traces in
-          let h, fold, aud =
-            run_hostile ~seed ~domains ~source:(Schedule.node_source replayed)
-          in
-          if h <> h1 then
-            QCheck.Test.fail_reportf
-              "seed %d: hostile Timeline hash diverged at %d domains" seed
-              domains;
-          if fold <> fold1 then
-            QCheck.Test.fail_reportf
-              "seed %d: hostile metric fold diverged at %d domains" seed domains;
-          if aud <> [] then
-            QCheck.Test.fail_reportf
-              "seed %d: %d-domain recovery audit unclean: %s" seed domains
-              (String.concat "; " aud))
-        [ 2; 4 ];
-      true)
 
 let () =
   Alcotest.run "parallel"
@@ -649,6 +510,10 @@ let () =
             test_rejected_tie_break_side_effect_free;
           Alcotest.test_case "rejected contention call leaves no trace" `Quick
             test_rejected_contention_side_effect_free;
+          Alcotest.test_case "rejected fault-plan call leaves no trace" `Quick
+            test_rejected_fault_plan_side_effect_free;
+          Alcotest.test_case "rejected recovery call leaves no trace" `Quick
+            test_rejected_recovery_side_effect_free;
         ] );
       ( "merge",
         [
@@ -658,12 +523,10 @@ let () =
         ] );
       ( "determinism",
         [
-          QCheck_alcotest.to_alcotest prop_parallel_replay_identical;
+          QCheck_alcotest.to_alcotest prop_parallel_identical;
           Alcotest.test_case "8 domains on a small host" `Quick
             test_oversubscribed_domains_identical;
           Alcotest.test_case "observer does not change the run" `Quick
             test_observer_does_not_change_run;
         ] );
-      ( "envelope",
-        [ QCheck_alcotest.to_alcotest prop_hostile_envelope_identical ] );
     ]
