@@ -31,7 +31,8 @@
                      asserts the runs are bit-identical)
 
    Each layer section writes BENCH_<section>.json and exits nonzero on
-   any failed gate. *)
+   any failed gate. An argument that is neither a section, "all" nor one
+   of the flags above prints a usage line and exits with status 2. *)
 
 open Core
 
@@ -1882,6 +1883,16 @@ let () =
       ("parallel", parallel_bench ~smoke ~baseline);
     ]
   in
+  let known = "all" :: List.map fst sections in
+  (match List.find_opt (fun a -> not (List.mem a known)) named with
+  | Some bad ->
+      Printf.eprintf
+        "main.exe: unknown argument %s; usage: main.exe [%s]... [--full] \
+         [--smoke] [--baseline F] [--schedules N] [--seed N] [--workload \
+         NAME] [--out DIR] [--replay FILE]\n"
+        bad (String.concat "|" known);
+      exit 2
+  | None -> ());
   List.iter
     (fun (name, run) ->
       if List.mem name named || (name <> "explore" && List.mem "all" named)

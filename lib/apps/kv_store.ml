@@ -32,9 +32,6 @@ type t = {
   n_shards : int;
   keyspace : int;
   fan : int;
-  service_instr : int;
-  client_instr : int;
-  latency_bucket_ns : int;
   mutable per_node : client_state array;
   mutable shard_addrs : Value.addr array;
   mutable client_addrs : Value.addr array;
@@ -42,7 +39,14 @@ type t = {
   mutable client_cls : Kernel.cls;
 }
 
-let fresh_stats ~bucket_width =
+(* Modelled per-operation work on a shard (it sets the capacity a rate
+   sweep saturates) and on a client, and the latency histogram's bucket
+   width. *)
+let service_instr = 200
+let client_instr = 30
+let latency_bucket_ns = 500
+
+let fresh_stats () =
   {
     get_ok = 0;
     put_ok = 0;
@@ -50,7 +54,7 @@ let fresh_stats ~bucket_width =
     cas_fail = 0;
     mget_ok = 0;
     dup_resps = 0;
-    latency = Simcore.Histogram.create ~bucket_width ();
+    latency = Simcore.Histogram.create ~bucket_width:latency_bucket_ns ();
   }
 
 let client_state_of t ctx = t.per_node.((Ctx.self ctx).Value.node)
@@ -96,14 +100,14 @@ let respond ctx ~client ~req_id ~kind ~key ~value ~version ~ok =
       Value.int (if ok then 1 else 0);
     ]
 
-let shard_cls_def t =
+let shard_cls_def () =
   Class_def.define ~name:"kv_shard" ~state:[| "table" |]
     ~init:(fun _ -> [| Value.List [] |])
     ~methods:
       [
         ( p_get,
           fun ctx msg ->
-            Ctx.charge ctx t.service_instr;
+            Ctx.charge ctx service_instr;
             let key = Value.to_int (Message.arg msg 0) in
             let client = Value.to_addr (Message.arg msg 1) in
             let req_id = Value.to_int (Message.arg msg 2) in
@@ -116,7 +120,7 @@ let shard_cls_def t =
               ~version ~ok );
         ( p_put,
           fun ctx msg ->
-            Ctx.charge ctx t.service_instr;
+            Ctx.charge ctx service_instr;
             let key = Value.to_int (Message.arg msg 0) in
             let value = Value.to_int (Message.arg msg 1) in
             let client = Value.to_addr (Message.arg msg 2) in
@@ -131,7 +135,7 @@ let shard_cls_def t =
               ~version ~ok:true );
         ( p_cas,
           fun ctx msg ->
-            Ctx.charge ctx t.service_instr;
+            Ctx.charge ctx service_instr;
             let key = Value.to_int (Message.arg msg 0) in
             let expect = Value.to_int (Message.arg msg 1) in
             let value = Value.to_int (Message.arg msg 2) in
@@ -162,7 +166,7 @@ let client_cls_def t =
       [
         ( p_op,
           fun ctx msg ->
-            Ctx.charge ctx t.client_instr;
+            Ctx.charge ctx client_instr;
             let kind = Value.to_int (Message.arg msg 0) in
             let key = Value.to_int (Message.arg msg 1) in
             let t0 = Value.to_int (Message.arg msg 2) in
@@ -201,7 +205,7 @@ let client_cls_def t =
             end );
         ( p_resp,
           fun ctx msg ->
-            Ctx.charge ctx t.client_instr;
+            Ctx.charge ctx client_instr;
             let req_id = Value.to_int (Message.arg msg 0) in
             let key = Value.to_int (Message.arg msg 2) in
             let version = Value.to_int (Message.arg msg 4) in
@@ -231,9 +235,8 @@ let client_cls_def t =
       ]
     ()
 
-let create ?(service_instr = 200) ?(client_instr = 30)
-    ?(latency_bucket_ns = 500) ?(keys_per_shard = 16) ?(mget_fan = 3)
-    ?(multiactive = false) ?(ma_budget = 4) ~shards () =
+let create ?(keys_per_shard = 16) ?(mget_fan = 3) ?(multiactive = false)
+    ?(ma_budget = 4) ~shards () =
   if shards < 1 then invalid_arg "Kv_store.create: shards must be >= 1";
   if mget_fan < 1 then invalid_arg "Kv_store.create: mget_fan must be >= 1";
   (* The class methods close over [t], so tie the knot through a
@@ -246,9 +249,6 @@ let create ?(service_instr = 200) ?(client_instr = 30)
       n_shards = shards;
       keyspace = shards * keys_per_shard;
       fan = mget_fan;
-      service_instr;
-      client_instr;
-      latency_bucket_ns;
       per_node = [||];
       shard_addrs = [||];
       client_addrs = [||];
@@ -256,7 +256,7 @@ let create ?(service_instr = 200) ?(client_instr = 30)
       client_cls = placeholder;
     }
   in
-  t.shard_cls <- shard_cls_def t;
+  t.shard_cls <- shard_cls_def ();
   t.client_cls <- client_cls_def t;
   if multiactive then begin
     (* Single-writer / multi-reader shards: gets overlap each other
@@ -282,7 +282,7 @@ let spawn t sys =
   t.per_node <-
     Array.init nodes (fun _ ->
         {
-          cs_stats = fresh_stats ~bucket_width:t.latency_bucket_ns;
+          cs_stats = fresh_stats ();
           cs_pendings = Hashtbl.create 64;
           cs_last_seen = Hashtbl.create 64;
           cs_started = 0;
@@ -304,7 +304,7 @@ let client_addr t ~node = t.client_addrs.(node)
    same whatever schedule (or domain count) produced the per-node
    records. *)
 let stats t =
-  let acc = fresh_stats ~bucket_width:t.latency_bucket_ns in
+  let acc = fresh_stats () in
   Array.iter
     (fun cs ->
       let s = cs.cs_stats in

@@ -36,9 +36,6 @@ type stats = {
 type t
 
 val create :
-  ?service_instr:int ->
-  ?client_instr:int ->
-  ?latency_bucket_ns:int ->
   ?keys_per_shard:int ->
   ?mget_fan:int ->
   ?multiactive:bool ->
@@ -46,10 +43,10 @@ val create :
   shards:int ->
   unit ->
   t
-(** A fresh tier instance (per run). [service_instr] (default 200) is
-    the modelled per-operation work on a shard — it sets the capacity a
-    rate sweep saturates; [client_instr] (default 30) the per-operation
-    client work. [keys_per_shard] (default 16) fixes the keyspace at
+(** A fresh tier instance (per run). The modelled per-operation work is
+    200 instructions on a shard — it sets the capacity a rate sweep
+    saturates — and 30 on a client; latencies are histogrammed in 500 ns
+    buckets. [keys_per_shard] (default 16) fixes the keyspace at
     [shards * keys_per_shard]. [mget_fan] (default 3) is the multi-get
     scatter width.
 

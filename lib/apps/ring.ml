@@ -27,11 +27,10 @@ let station_cls () =
       ]
     ()
 
-let run ?machine_config ?rt_config ?(attach = fun _ -> ()) ~nodes ~laps () =
+let run ?machine_config ?rt_config ~nodes ~laps () =
   if nodes < 2 then invalid_arg "Ring.run: need at least two nodes";
   let cls = station_cls () in
   let sys = System.boot ?machine_config ?rt_config ~nodes ~classes:[ cls ] () in
-  attach sys;
   let stations =
     Array.init nodes (fun i -> System.create_root sys ~node:i cls [])
   in

@@ -13,10 +13,7 @@ type result = {
 val run :
   ?machine_config:Machine.Engine.config ->
   ?rt_config:Core.Kernel.rt_config ->
-  ?attach:(Core.System.t -> unit) ->
   nodes:int ->
   laps:int ->
   unit ->
   result
-(** [attach] runs on the booted system before any message is injected —
-    the hook for optional subsystems (e.g. migration). *)

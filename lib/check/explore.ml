@@ -57,9 +57,11 @@ let trim_zeros v =
    keeping any candidate that still fails. 0 means "the unperturbed
    default", so shrinking moves toward the baseline schedule and the
    surviving nonzero entries are exactly the perturbations the bug
-   needs. [budget] caps total replays. *)
-let shrink ?(budget = 250) w vector =
-  let budget = ref budget in
+   needs. At most [shrink_budget] replays are spent. *)
+let shrink_budget = 250
+
+let shrink w vector =
+  let budget = ref shrink_budget in
   let cur = ref (trim_zeros vector) in
   let attempt cand =
     if !budget > 0 && cand <> !cur then begin

@@ -16,10 +16,10 @@ val failed : outcome -> bool
 val run_recorded : Workloads.t -> seed:int -> outcome
 val run_replay : Workloads.t -> int array -> outcome
 
-val shrink : ?budget:int -> Workloads.t -> int array -> int array
+val shrink : Workloads.t -> int array -> int array
 (** Greedy minimization: zero out choice chunks (halving sizes) and trim
-    trailing zeros, keeping candidates that still fail. [budget] caps
-    replays (default 250). *)
+    trailing zeros, keeping candidates that still fail, in at most 250
+    replays. *)
 
 val save : path:string -> outcome -> unit
 (** Writes a reproducer file (workload name + vector, violations as

@@ -401,78 +401,26 @@ let hostile_wl =
         run_bursts sched ~config ~crashes ~start:10_000 ~burst:12 ());
   }
 
-(* --- open-loop traffic: sharded KV tier under faults + churn ---------- *)
+(* --- open-loop traffic: sharded KV tier under faults + shard moves ---- *)
 
-let traffic_wl =
+(* One driver for both KV workloads; every choice tag starts with [tag].
+   [ma_budget] makes the shards multiactive with that activation budget.
+   Shard moves are forced while requests are in flight; everything —
+   whether any move happens at all — comes from the schedule, so
+   shrinking toward zeros turns the churn off. Under multiactive shards
+   the moves exercise drain-before-freeze: the freeze must wait for the
+   running activation set to empty and ship the group queues intact. *)
+let kv_wl ~name ~tag ?ma_budget ~mix ~key_dist () =
   {
-    w_name = "traffic";
+    w_name = name;
     w_run =
       (fun sched ->
-        let faults = drawn_faults sched ~tag:"tr.fault" in
-        let machine_config = { Engine.default_config with Engine.faults } in
-        let nodes = 4 in
-        let kv =
-          Apps.Kv_store.create ~shards:4 ~keys_per_shard:4 ~mget_fan:2 ()
-        in
-        let sys =
-          System.boot ~machine_config ~nodes
-            ~classes:(Apps.Kv_store.classes kv)
-            ()
-        in
-        let machine = System.machine sys in
-        wire sched machine;
-        let tl = Services.Timeline.attach sys in
-        Apps.Kv_store.spawn kv sys;
-        let mig = Migrate.attach sys in
-        let mon = Monitor.create () in
-        Probes.register_standard mon sys ~migrate:mig ();
-        Monitor.attach_periodic mon machine ~interval_ns:monitor_interval_ns;
-        let lg =
-          Traffic.Loadgen.launch
-            {
-              Traffic.Loadgen.default_config with
-              Traffic.Loadgen.seed =
-                1 + Schedule.choice sched ~tag:"tr.seed" 1_000_000;
-              rate_rps = 400_000;
-              requests = 60;
-            }
-            sys kv
-        in
-        Monitor.register mon ~name:"traffic" ~when_:Monitor.At_quiescence
-          (Probes.traffic sys lg);
-        (* Force shard moves while requests are in flight; everything —
-           whether any move happens at all — comes from the schedule, so
-           shrinking toward zeros turns the churn off. *)
-        let moves = Schedule.choice sched ~tag:"tr.moves" 4 in
-        for k = 0 to moves - 1 do
-          let shard = Schedule.choice sched ~tag:"tr.shard" 4 in
-          let to_ = Schedule.choice sched ~tag:"tr.to" nodes in
-          let phase = Schedule.choice sched ~tag:"tr.phase" 8 in
-          Engine.schedule_at machine
-            ~time:(15_000 + (k * 30_000) + (phase * 2_000))
-            (fun () ->
-              ignore
-                (Migrate.move mig
-                   ~canon:(Apps.Kv_store.shard_addr kv shard)
-                   ~to_))
-        done;
-        System.run sys;
-        finish mon tl []);
-  }
-
-(* --- multiactive: read-heavy skewed traffic into annotated shards ----- *)
-
-let multiactive_wl =
-  {
-    w_name = "multiactive";
-    w_run =
-      (fun sched ->
-        let faults = drawn_faults sched ~tag:"ma.fault" in
+        let faults = drawn_faults sched ~tag:(tag ^ ".fault") in
         let machine_config = { Engine.default_config with Engine.faults } in
         let nodes = 4 in
         let kv =
           Apps.Kv_store.create ~shards:4 ~keys_per_shard:4 ~mget_fan:2
-            ~multiactive:true ~ma_budget:3 ()
+            ~multiactive:(Option.is_some ma_budget) ?ma_budget ()
         in
         let sys =
           System.boot ~machine_config ~nodes
@@ -487,35 +435,26 @@ let multiactive_wl =
         let mon = Monitor.create () in
         Probes.register_standard mon sys ~migrate:mig ();
         Monitor.attach_periodic mon machine ~interval_ns:monitor_interval_ns;
-        (* Read-heavy and Zipf-skewed, so one hot shard actually builds
-           the overlapping read backlog the admission rules govern; the
-           deferral ("ma.admit.defer") and pump-order ("ma.pump.pick")
-           decision points are drawn from the schedule like every other
-           choice. *)
         let lg =
           Traffic.Loadgen.launch
             {
               Traffic.Loadgen.default_config with
               Traffic.Loadgen.seed =
-                1 + Schedule.choice sched ~tag:"ma.seed" 1_000_000;
+                1 + Schedule.choice sched ~tag:(tag ^ ".seed") 1_000_000;
               rate_rps = 400_000;
               requests = 60;
-              mix =
-                { Traffic.Loadgen.m_get = 90; m_put = 6; m_cas = 3; m_mget = 1 };
-              key_dist = Traffic.Loadgen.Zipf 1.1;
+              mix;
+              key_dist;
             }
             sys kv
         in
         Monitor.register mon ~name:"traffic" ~when_:Monitor.At_quiescence
           (Probes.traffic sys lg);
-        (* Shard moves mid-run exercise drain-before-freeze: the freeze
-           must wait for the running activation set to empty and ship
-           the group queues intact. *)
-        let moves = Schedule.choice sched ~tag:"ma.moves" 4 in
+        let moves = Schedule.choice sched ~tag:(tag ^ ".moves") 4 in
         for k = 0 to moves - 1 do
-          let shard = Schedule.choice sched ~tag:"ma.shard" 4 in
-          let to_ = Schedule.choice sched ~tag:"ma.to" nodes in
-          let phase = Schedule.choice sched ~tag:"ma.phase" 8 in
+          let shard = Schedule.choice sched ~tag:(tag ^ ".shard") 4 in
+          let to_ = Schedule.choice sched ~tag:(tag ^ ".to") nodes in
+          let phase = Schedule.choice sched ~tag:(tag ^ ".phase") 8 in
           Engine.schedule_at machine
             ~time:(15_000 + (k * 30_000) + (phase * 2_000))
             (fun () ->
@@ -527,6 +466,19 @@ let multiactive_wl =
         System.run sys;
         finish mon tl []);
   }
+
+let traffic_wl =
+  kv_wl ~name:"traffic" ~tag:"tr" ~mix:Traffic.Loadgen.default_mix
+    ~key_dist:Traffic.Loadgen.Uniform ()
+
+(* Read-heavy and Zipf-skewed, so one hot shard actually builds the
+   overlapping read backlog the admission rules govern; the deferral
+   ("ma.admit.defer") and pump-order ("ma.pump.pick") decision points
+   are drawn from the schedule like every other choice. *)
+let multiactive_wl =
+  kv_wl ~name:"multiactive" ~tag:"ma" ~ma_budget:3
+    ~mix:{ Traffic.Loadgen.m_get = 90; m_put = 6; m_cas = 3; m_mget = 1 }
+    ~key_dist:(Traffic.Loadgen.Zipf 1.1) ()
 
 let all =
   [

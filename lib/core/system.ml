@@ -217,10 +217,6 @@ let send_boot t ?from target pattern args =
 let run ?max_slices t = Engine.run ?max_slices t.shared.machine
 
 let run_parallel ?max_slices t ~domains =
-  (* Auto-gossip synchronises every node's clock each round — a global
-     operation with no sound per-domain decomposition. *)
-  if t.shared.config.gossip_interval_ns > 0 then
-    invalid_arg "System.run_parallel: gossip_interval_ns requires [run]";
   Engine.run_parallel ?max_slices t.shared.machine ~domains ()
 let elapsed t = Engine.elapsed t.shared.machine
 let utilization t = Engine.utilization t.shared.machine

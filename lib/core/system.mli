@@ -46,9 +46,9 @@ val run_parallel : ?max_slices:int -> t -> domains:int -> unit
 (** Runs the machine to quiescence with nodes sharded across [domains]
     OCaml domains under the engine's conservative-lookahead scheme (see
     {!Machine.Engine.run_parallel} for the determinism contract and the
-    feature restrictions). Rejects configurations with
-    [gossip_interval_ns > 0]: auto-gossip synchronises all node clocks
-    each round, which has no per-domain decomposition. *)
+    feature restrictions: among them, auto-gossip's engine-level rounds
+    synchronise all node clocks, which has no per-domain
+    decomposition). *)
 
 val elapsed : t -> Simcore.Time.t
 val utilization : t -> float

@@ -533,12 +533,16 @@ let pending_slots t =
     (fun acc d -> acc + List.length d.d_fresh + List.length d.d_quarantine)
     0 t.nodes
 
-let settle ?(max_rounds = 16) t =
+(* Upper bound on the sweep-and-run rounds of {!settle}. *)
+let max_settle_rounds = 16
+
+let settle t =
   let rec loop i last =
     sweep_all t;
     Core.System.run t.sys;
     let w = work t + pending_slots t in
-    if (w <> last || pending_slots t > 0) && i < max_rounds then loop (i + 1) w
+    if (w <> last || pending_slots t > 0) && i < max_settle_rounds then
+      loop (i + 1) w
   in
   loop 0 (-1)
 

@@ -57,9 +57,9 @@ val sweep : t -> node:int -> Services.Local_gc.sweep_outcome
 val sweep_all : t -> unit
 (** {!sweep} on every node. *)
 
-val settle : ?max_rounds:int -> t -> unit
+val settle : t -> unit
 (** Alternates {!sweep_all} with [System.run] until a full round makes
-    no collector progress (or [max_rounds], default 16). Distributed
+    no collector progress (or after 16 rounds). Distributed
     reclamation cascades — decrement, stub release, recall, unstub,
     restock — so a single sweep is rarely enough to reach the fixpoint. *)
 

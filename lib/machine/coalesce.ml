@@ -31,17 +31,18 @@
    while others starve. A blocked flush parks ([starved]) and fires on
    the next credit return. *)
 
+(* Size thresholds: a buffer flushes when it reaches this many wire
+   bytes or this many frames. *)
+let max_batch_bytes = 512
+let max_batch_frames = 16
+
 type config = {
-  max_batch_bytes : int;
-  max_batch_frames : int;
   max_delay_ns : int;
   credits : int;
 }
 
 let default_config =
   {
-    max_batch_bytes = 512;
-    max_batch_frames = 16;
     max_delay_ns = 5_000;
     credits = 4;
   }
@@ -97,10 +98,6 @@ type stats = {
 }
 
 let create ?(config = default_config) ~nodes () =
-  if config.max_batch_frames < 2 then
-    invalid_arg "Coalesce.create: max_batch_frames must be >= 2";
-  if config.max_batch_bytes < 16 then
-    invalid_arg "Coalesce.create: max_batch_bytes must be >= 16";
   if config.credits < 1 then invalid_arg "Coalesce.create: credits must be >= 1";
   if config.max_delay_ns < 1 then
     invalid_arg "Coalesce.create: max_delay_ns must be >= 1";
@@ -163,7 +160,7 @@ let offer t ~src ~dst ~now ~bytes ~port_free item : verdict =
         t.open_dsts_by_src.(src) <- dst :: t.open_dsts_by_src.(src)
       end
     end;
-    if ch.frames >= t.cfg.max_batch_frames || ch.bytes >= t.cfg.max_batch_bytes
+    if ch.frames >= max_batch_frames || ch.bytes >= max_batch_bytes
     then `Threshold
     else if ch.frames = 1 && not ch.armed then begin
       ch.armed <- true;

@@ -13,11 +13,10 @@
     this module only for verdicts and bookkeeping. A frame offered to an
     empty buffer while the source injection port is idle bypasses
     aggregation entirely, keeping the single-message latency path
-    bit-identical to the unbatched build. *)
+    bit-identical to the unbatched build. A buffer flushes on the size
+    threshold when it reaches 512 wire bytes or 16 frames. *)
 
 type config = {
-  max_batch_bytes : int;  (** flush when the buffer reaches this size *)
-  max_batch_frames : int;  (** or this many frames *)
   max_delay_ns : int;  (** age bound for buffers on a busy node *)
   credits : int;
       (** per-channel flow control: max batches (or bypass singles)
@@ -25,7 +24,7 @@ type config = {
 }
 
 val default_config : config
-(** 512 B / 16 frames / 5 us / 4 credits. *)
+(** 5 us / 4 credits. *)
 
 type 'a t
 

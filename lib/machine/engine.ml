@@ -6,7 +6,6 @@ type config = {
   delivery : delivery_mode;
   seed : int;
   faults : Network.Faults.plan option;
-  reliable : Reliable.config;
   coalesce : Coalesce.config option;
 }
 
@@ -17,7 +16,6 @@ let default_config =
     delivery = Polling;
     seed = 42;
     faults = None;
-    reliable = Reliable.default_config;
     coalesce = None;
   }
 
@@ -29,12 +27,13 @@ type event =
   | Co_flush of { src : int; dst : int }  (** aggregation age deadline *)
   | Co_credit of { src : int; dst : int }
       (** a flushed batch landed: return its flow-control credit *)
-  | Timer of (unit -> unit)
-      (** engine-level timer (periodic services: gossip, migration
-          policies); the thunk decides for itself whether to re-arm *)
-  | Timer_on of { node : int; fn : unit -> unit }
-      (** like [Timer], but owned by a node: a parallel run executes it
-          on the domain that owns [node] (sequentially identical) *)
+  | Timer of { node : int; fn : unit -> unit }
+      (** a timer owned by [node]: a parallel run executes it on the
+          domain that owns the node. [node = -1] is an engine-level
+          timer (periodic services: gossip, DGC sweeps, migration
+          policies) that may touch every node; it has no owning domain,
+          so [run_parallel] refuses an engine that ever armed one. The
+          thunk decides for itself whether to re-arm. *)
 
 (* Crash-recovery instrumentation (installed by Recover.Manager). The
    hooks see every delivery, dispatch and send, so a manager can keep a
@@ -82,6 +81,7 @@ and t = {
           [0, bound) at a named decision point; [None] (and a pick of 0)
           is the unperturbed baseline *)
   mutable tie_break_set : bool;
+  mutable engine_timer_set : bool;  (** {!schedule_at} was ever called *)
   mutable recovery : recovery_hooks option;
   mutable par : par option;  (** live only inside {!run_parallel} *)
   mutable evcount : int;  (** events processed by sequential [run] *)
@@ -208,7 +208,7 @@ let create ?(config = default_config) ~nodes:n () =
     observer = None;
     rel =
       (match faults with
-      | Some _ -> Some (Reliable.create ~config:config.reliable ~nodes:n ())
+      | Some _ -> Some (Reliable.create ~nodes:n ())
       | None -> None);
     co =
       (match config.coalesce with
@@ -220,6 +220,7 @@ let create ?(config = default_config) ~nodes:n () =
     piggyback = None;
     decision = None;
     tie_break_set = false;
+    engine_timer_set = false;
     recovery = None;
     par = None;
     evcount = 0;
@@ -325,12 +326,15 @@ let quiescent t =
   && coalesce_buffered t = 0
 
 let schedule_at t ~time fn =
-  add_event t ~time:(max time (now_cur t)) (Timer fn)
+  if Option.is_some t.par then
+    invalid_arg "Engine.schedule_at: engine-level timer during a parallel run";
+  t.engine_timer_set <- true;
+  add_event t ~time:(max time (now_cur t)) (Timer { node = -1; fn })
 
 let schedule_on t ~node ~time fn =
   if node < 0 || node >= Array.length t.nodes then
     invalid_arg "Engine.schedule_on: bad node";
-  add_event t ~time:(max time (now_cur t)) (Timer_on { node; fn })
+  add_event t ~time:(max time (now_cur t)) (Timer { node; fn })
 
 let packets_dropped t = Network.Fabric.packets_dropped t.fabric
 let packets_duplicated t = Network.Fabric.packets_duplicated t.fabric
@@ -896,9 +900,9 @@ let crash_node t i ~restart_at =
   if i < 0 || i >= Array.length t.nodes then
     invalid_arg "Engine.crash_node: bad node";
   if t.down.(i) then invalid_arg "Engine.crash_node: node already down";
-  (* [now_cur]: in a parallel run the caller is a [Timer_on] handler on
-     the owning domain, whose virtual now at that point is the event
-     time — count-invariant, unlike the engine-global cursor. *)
+  (* [now_cur]: in a parallel run the caller is a node-owned [Timer]
+     handler on the owning domain, whose virtual now at that point is the
+     event time — count-invariant, unlike the engine-global cursor. *)
   let vnow = now_cur t in
   let now = max vnow (Node.now t.nodes.(i)) in
   if restart_at <= now then
@@ -977,8 +981,7 @@ let exec_event t ~time ~count_slice ev =
   | Ack_tick { me; peer } -> handle_ack_tick t (Option.get t.rel) ~time ~me ~peer
   | Co_flush { src; dst } -> handle_co_flush t ~time ~src ~dst
   | Co_credit { src; dst } -> handle_co_credit t ~time ~src ~dst
-  | Timer fn -> fn ()
-  | Timer_on { fn; _ } -> fn ()
+  | Timer { fn; _ } -> fn ()
 
 let run ?(max_slices = max_int) t =
   let slices = ref 0 in
@@ -1028,6 +1031,8 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
     invalid_arg "Engine.run_parallel: decision hook set";
   if t.tie_break_set then
     invalid_arg "Engine.run_parallel: tie-break hook set";
+  if t.engine_timer_set then
+    invalid_arg "Engine.run_parallel: engine-level timer scheduled";
   if Option.is_some t.par then
     invalid_arg "Engine.run_parallel: parallel run already active";
   let lookahead = Network.Fabric.min_remote_latency t.fabric in
@@ -1057,8 +1062,7 @@ let run_parallel ?(max_slices = max_int) t ~domains () =
           | Ack_tick { me; _ } -> dom_of.(me)
           | Co_flush { src; _ } -> dom_of.(src)
           | Co_credit { src; _ } -> dom_of.(src)
-          | Timer _ -> dom_of.(0)
-          | Timer_on { node; _ } -> dom_of.(node)
+          | Timer { node; _ } -> dom_of.(node)
         in
         Simcore.Event_queue.add queues.(d) ~time ev;
         redistribute ()

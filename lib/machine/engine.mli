@@ -24,7 +24,6 @@ type config = {
           {!Network.Faults.is_fault_free} holds, leaves the machine
           bit-identical to the fault-free build; any real fault activates
           the {!Reliable} delivery layer underneath the AM handlers. *)
-  reliable : Reliable.config;  (** protocol tuning; used only with faults *)
   coalesce : Coalesce.config option;
       (** per-destination message aggregation. [None] (the default)
           leaves the send path bit-identical to the unbatched build.
@@ -95,13 +94,17 @@ val schedule_at : t -> time:Simcore.Time.t -> (unit -> unit) -> unit
 (** Arms an engine-level timer: the thunk runs when the virtual clock
     reaches [time] (clamped to now). Periodic services re-arm from
     inside the thunk — but should first consult {!quiescent} so a
-    finished run still drains its event queue and {!run} returns. *)
+    finished run still drains its event queue and {!run} returns. The
+    thunk may touch every node, so such a timer has no owning domain:
+    once any was armed, {!run_parallel} rejects the engine, and a call
+    during a parallel run raises [Invalid_argument]. *)
 
 val schedule_on :
   t -> node:int -> time:Simcore.Time.t -> (unit -> unit) -> unit
 (** Like {!schedule_at}, but the timer belongs to [node]: a parallel run
     executes it on the domain that owns the node (and the thunk may only
-    touch that node). Sequentially identical to {!schedule_at}. *)
+    touch that node). Sequentially identical to {!schedule_at}; the
+    timer kind a parallel run accepts. *)
 
 val quiescent : t -> bool
 (** Every node idle, no reliable-delivery traffic outstanding and no
@@ -154,8 +157,9 @@ val run_parallel : ?max_slices:int -> t -> domains:int -> unit -> unit
     triggers ride the owning domain's window. Sequential-only, and
     rejected with [Invalid_argument]: a fault plan, attached
     {!recovery_hooks}, fabric contention (a shared link-occupancy
-    table), nodes already down at call time, and the decision /
-    tie-break hooks. A rejected call is side-effect-free, leaving the
+    table), nodes already down at call time, the decision / tie-break
+    hooks, and any engine-level {!schedule_at} timer (DGC sweeps,
+    migration-policy rounds, load gossip) ever armed. A rejected call is side-effect-free, leaving the
     engine exactly as it was. [max_slices] bounds the total slice count
     across all domains, checked once per round.
 

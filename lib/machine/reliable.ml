@@ -1,26 +1,16 @@
-type config = {
-  window : int;
-  ack_delay_ns : int;
-  rto_ns : int;
-  backoff : int;
-  max_rto_ns : int;
-  max_retries : int;
-}
+(* Protocol constants. *)
+let window = 64 (* max unacknowledged frames per channel *)
+let ack_delay_ns = 20_000 (* delayed standalone-ack timeout *)
 
-let default_config =
-  {
-    window = 64;
-    ack_delay_ns = 20_000;
-    (* Initial value and floor of the adaptive estimate; the estimator
-       learns the real ack round trip per channel — including
-       injection-port queueing behind send bursts, which can reach
-       millisecond scale — so a retransmission means the network actually
-       lost something. *)
-    rto_ns = 200_000;
-    backoff = 2;
-    max_rto_ns = 5_000_000;
-    max_retries = 64;
-  }
+(* Initial value and floor of the adaptive estimate; the estimator
+   learns the real ack round trip per channel — including
+   injection-port queueing behind send bursts, which can reach
+   millisecond scale — so a retransmission means the network actually
+   lost something. *)
+let rto_ns = 200_000
+let backoff = 2 (* RTO multiplier per retransmission *)
+let max_rto_ns = 5_000_000
+let max_retries = 64
 
 type frame = { fr_seq : int; fr_ack : int; fr_data : Am.t option }
 
@@ -65,7 +55,6 @@ type journal = {
 }
 
 type t = {
-  cfg : config;
   nodes : int;
   (* Channel state is preallocated for every (src, dst) pair rather than
      created lazily on first use. *)
@@ -78,13 +67,13 @@ type t = {
           per sending node *)
 }
 
-let fresh_tx cfg =
+let fresh_tx () =
   {
     next_seq = 0;
     base = 0;
     inflight = Hashtbl.create 8;
     backlog = Queue.create ();
-    rto = cfg.rto_ns;
+    rto = rto_ns;
     deadline = max_int;
     timer_armed = false;
     retries = 0;
@@ -94,19 +83,15 @@ let fresh_tx cfg =
 
 let fresh_rx () = { expected = 0; reorder = Hashtbl.create 8; ack_due = max_int }
 
-let create ?(config = default_config) ~nodes () =
-  if config.window < 1 then invalid_arg "Reliable.create: window must be >= 1";
-  if config.backoff < 1 then invalid_arg "Reliable.create: backoff must be >= 1";
+let create ~nodes () =
   {
-    cfg = config;
     nodes;
-    txs = Array.init (nodes * nodes) (fun _ -> fresh_tx config);
+    txs = Array.init (nodes * nodes) (fun _ -> fresh_tx ());
     rxs = Array.init (nodes * nodes) (fun _ -> fresh_rx ());
     journal = None;
     acks_piggybacked = Array.make nodes 0;
   }
 
-let config t = t.cfg
 let set_journal t j = t.journal <- j
 
 let key t src dst = (src * t.nodes) + dst
@@ -133,14 +118,14 @@ let take_piggyback t ~me ~peer ~now =
 (* --- sender side --- *)
 
 (* Adaptive retransmission timeout (RFC 6298 shape): smoothed RTT plus
-   four deviations, floored at the configured initial RTO and capped at
+   four deviations, floored at the initial RTO and capped at
    the backoff ceiling. Channels whose acks queue behind send bursts
    learn a proportionally lazier timer instead of retransmitting data
    the network never lost. *)
-let current_rto t tx =
-  if tx.srtt < 0 then t.cfg.rto_ns
+let current_rto tx =
+  if tx.srtt < 0 then rto_ns
   else
-    min t.cfg.max_rto_ns (max t.cfg.rto_ns (tx.srtt + (4 * tx.rttvar)))
+    min max_rto_ns (max rto_ns (tx.srtt + (4 * tx.rttvar)))
 
 (* Observes the ack turnaround beyond the acked frame's arrival estimate
    (delayed-ack wait + return transit + jitter — the part the timeout
@@ -174,7 +159,7 @@ let rearm_for_base tx ~now =
 
 let push t ~src ~dst ~now am =
   let tx = tx_of t ~src ~dst in
-  if Hashtbl.length tx.inflight >= t.cfg.window then begin
+  if Hashtbl.length tx.inflight >= window then begin
     Queue.push am tx.backlog;
     (match t.journal with Some j -> j.j_queued ~src ~dst am | None -> ());
     `Queued
@@ -220,7 +205,7 @@ let on_ack t ~src ~dst ~ack ~now =
        round trip, every frame is retransmitted exactly once and every
        ack is ambiguous; keeping the doubled RTO lets a later frame
        survive to an unambiguous ack, which re-seeds the estimator. *)
-    if sampled then tx.rto <- current_rto t tx;
+    if sampled then tx.rto <- current_rto tx;
     rearm_for_base tx ~now;
     (* Partial-ack recovery (NewReno shape): progress without a valid
        RTT sample means this ack answered a retransmission — the
@@ -248,7 +233,7 @@ let on_ack t ~src ~dst ~ack ~now =
     in
     (* Release backlog into the freed window, in order. *)
     let rec drain acc =
-      if Queue.is_empty tx.backlog || Hashtbl.length tx.inflight >= t.cfg.window
+      if Queue.is_empty tx.backlog || Hashtbl.length tx.inflight >= window
       then List.rev acc
       else begin
         let am = Queue.pop tx.backlog in
@@ -293,11 +278,11 @@ let on_timer t ~src ~dst ~now =
   end
   else begin
     tx.retries <- tx.retries + 1;
-    if tx.retries > t.cfg.max_retries then
+    if tx.retries > max_retries then
       failwith
         (Printf.sprintf
            "Reliable: channel %d->%d gave up after %d retransmissions (seq %d)"
-           src dst t.cfg.max_retries tx.base);
+           src dst max_retries tx.base);
     let am =
       match Hashtbl.find_opt tx.inflight tx.base with
       | Some (am, _, _) -> am
@@ -307,7 +292,7 @@ let on_timer t ~src ~dst ~now =
        (an eventual ack is ambiguous about which copy it answers). The
        caller's note_eta for the new copy re-anchors the deadline. *)
     Hashtbl.replace tx.inflight tx.base (am, now, false);
-    tx.rto <- min (tx.rto * t.cfg.backoff) t.cfg.max_rto_ns;
+    tx.rto <- min (tx.rto * backoff) max_rto_ns;
     tx.deadline <- now + tx.rto;
     tx.timer_armed <- true;
     ( `Retransmit
@@ -352,7 +337,7 @@ let ack_needed t ~me ~peer ~now =
   let rx = rx_of t ~src:peer ~dst:me in
   if rx.ack_due <> max_int then None
   else begin
-    rx.ack_due <- now + t.cfg.ack_delay_ns;
+    rx.ack_due <- now + ack_delay_ns;
     Some rx.ack_due
   end
 

@@ -17,28 +17,17 @@
     virtual-time order. All state is deterministic — no clocks, no
     randomness — so seeded runs replay exactly. *)
 
-type config = {
-  window : int;  (** max unacknowledged frames per channel *)
-  ack_delay_ns : int;  (** delayed standalone-ack timeout *)
-  rto_ns : int;
-      (** retransmission timeout before any RTT sample, and the floor of
-          the per-channel adaptive estimate (smoothed RTT plus four
-          deviations, RFC 6298 shape; retransmitted frames never yield
-          samples, per Karn's rule) *)
-  backoff : int;  (** RTO multiplier applied per retransmission *)
-  max_rto_ns : int;  (** RTO ceiling *)
-  max_retries : int;
-      (** consecutive retransmissions of one frame before the channel is
-          declared broken (raises [Failure] — silently losing a message
-          would violate every invariant above) *)
-}
-
-val default_config : config
-(** window 64, 20 us delayed ack, 200 us initial/minimum RTO doubling to
-    a 5 ms cap on consecutive losses, 64 retries (several seconds of a
-    fully-partitioned channel). The adaptive estimator tracks each
-    channel's real ack round trip — including injection-port queueing
-    behind send bursts — so retransmissions mean actual loss. *)
+(** Protocol constants: window 64 unacknowledged frames per channel, a
+    20 us delayed standalone ack, and a 200 us initial/minimum
+    retransmission timeout doubling to a 5 ms cap on consecutive losses.
+    The timeout adapts per channel (smoothed RTT plus four deviations,
+    RFC 6298 shape; retransmitted frames never yield samples, per Karn's
+    rule), tracking each channel's real ack round trip — including
+    injection-port queueing behind send bursts — so retransmissions mean
+    actual loss. After 64 consecutive retransmissions of one frame
+    (several seconds of a fully-partitioned channel) the channel is
+    declared broken and {!on_timer} raises [Failure]: silently losing a
+    message would violate every invariant above. *)
 
 type frame = {
   fr_seq : int;  (** data sequence number; [-1] on pure-ack frames *)
@@ -51,9 +40,7 @@ val frame_bytes : int
 
 type t
 
-val create : ?config:config -> nodes:int -> unit -> t
-
-val config : t -> config
+val create : nodes:int -> unit -> t
 
 (** {2 Stable-store journal}
 
@@ -126,7 +113,7 @@ val on_timer :
     [`Wait t]: an ack moved the deadline; re-schedule at [t].
     [`Retransmit (f, t)]: resend [f] (the oldest unacked frame, carrying
     a fresh piggybacked ack) and re-schedule at [t]; the RTO has been
-    backed off. Raises [Failure] after [max_retries] consecutive
+    backed off. Raises [Failure] after 64 consecutive
     retransmissions of the same frame. *)
 
 (** {2 Receiver side} *)

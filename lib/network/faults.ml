@@ -29,8 +29,6 @@ let plan ?(seed = 1) ?(drop = 0.) ?(duplicate = 0.) ?(jitter_ns = 0)
     crashes;
   { seed; drop; duplicate; jitter_ns; crashes }
 
-let none = { seed = 1; drop = 0.; duplicate = 0.; jitter_ns = 0; crashes = [] }
-
 let is_fault_free p =
   p.drop = 0. && p.duplicate = 0. && p.jitter_ns = 0 && p.crashes = []
 
@@ -64,8 +62,6 @@ let create ?nodes p =
         done
       done);
   { t_plan = p; t_crashes = p.crashes; channels }
-
-let crash_windows t = t.t_crashes
 
 let set_crashes t ws =
   List.iter

@@ -42,12 +42,9 @@ val plan :
     Raises [Invalid_argument] on probabilities outside [0, 1], negative
     jitter, or an empty crash window. *)
 
-val none : plan
-(** The all-zero plan: no drops, no duplicates, no jitter, no crashes.
-    Layers treat it exactly like "no fault plan at all", so configuring
-    it leaves runs bit-identical to the fault-free build. *)
-
 val is_fault_free : plan -> bool
+(** No drops, duplicates, jitter or crashes: the engine treats such a
+    plan exactly like no plan at all. *)
 
 type t
 (** Instantiated plan state: the per-channel random streams. *)
@@ -58,10 +55,6 @@ val create : ?nodes:int -> plan -> t
     plan seed and the channel endpoints, so eager creation draws
     nothing). Without [~nodes] streams are created lazily on first
     use. *)
-
-val crash_windows : t -> window list
-(** The crash windows currently in force (the plan's, unless
-    {!set_crashes} replaced them). *)
 
 val set_crashes : t -> window list -> unit
 (** Replaces the live crash windows. The recovery manager uses this to

@@ -15,6 +15,3 @@ let header_bytes = 12
 let batch_frame_bytes = 4
 
 let wire_bytes p = header_bytes + p.size_bytes
-
-let pp ppf p =
-  Format.fprintf ppf "packet %d->%d (%dB)" p.src p.dst p.size_bytes

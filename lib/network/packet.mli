@@ -23,5 +23,3 @@ val batch_frame_bytes : int
 
 val wire_bytes : 'a t -> int
 (** Total bytes a packet occupies on a link. *)
-
-val pp : Format.formatter -> 'a t -> unit

@@ -62,22 +62,11 @@ type crash_spec = {
   cs_jitter_ns : int;
 }
 
-type config = {
-  checkpoint_every_ns : int;
-  restore_fixed_ns : int;  (** fixed restart cost (reboot, store open) *)
-  restore_ns_per_byte : int;  (** checkpoint read-back bandwidth *)
-  store_block_bytes : int;
-  store_blocks : int;
-}
-
-let default_config =
-  {
-    checkpoint_every_ns = 200_000;
-    restore_fixed_ns = 20_000;
-    restore_ns_per_byte = 2;
-    store_block_bytes = 256;
-    store_blocks = 4096;
-  }
+(* Checkpoint period and restart cost: a fixed part (reboot, store
+   open) plus the checkpoint read-back bandwidth. *)
+let checkpoint_every_ns = 200_000
+let restore_fixed_ns = 20_000
+let restore_ns_per_byte = 2
 
 (* One delivery-log entry: a message that reached the node's inbox. *)
 type dentry = { de_am : Am.t; de_arrival : Simcore.Time.t }
@@ -99,7 +88,6 @@ type nstate = {
 type t = {
   eng : Engine.t;
   app : app;
-  cfg : config;
   ns : nstate array;
   c_crashes : Simcore.Stats.cell;
   c_restarts : Simcore.Stats.cell;
@@ -158,7 +146,7 @@ let rec arm_ckpt t i ~at =
     ns.ckpt_armed <- true;
     let jitter =
       Engine.decide t.eng "recover.ckpt.stagger"
-        (1 + (t.cfg.checkpoint_every_ns / 4))
+        (1 + (checkpoint_every_ns / 4))
     in
     Engine.schedule_on t.eng ~node:i ~time:(at + jitter) (ckpt_tick t i)
   end
@@ -176,7 +164,7 @@ and ckpt_tick t i () =
     if checkpoint t i then ns.dirty <- false
     else
       (* Not at a safe point: retry a period later. *)
-      arm_ckpt t i ~at:(Engine.now t.eng + t.cfg.checkpoint_every_ns)
+      arm_ckpt t i ~at:(Engine.now t.eng + checkpoint_every_ns)
 
 let on_deliver t ~dst ~arrival am =
   let ns = t.ns.(dst) in
@@ -184,7 +172,7 @@ let on_deliver t ~dst ~arrival am =
   Store.append ns.store ~log:"delivery" ~bytes:(dentry_bytes am);
   if not (Engine.node_down t.eng dst) then begin
     ns.dirty <- true;
-    arm_ckpt t dst ~at:(arrival + t.cfg.checkpoint_every_ns)
+    arm_ckpt t dst ~at:(arrival + checkpoint_every_ns)
   end
 
 (* Pull the entry for [am] out of the pending set. Dispatch order
@@ -216,7 +204,7 @@ let on_dispatch t ~node am =
         Store.append ns.store ~log:"dispatch" ~bytes:cursor_bytes;
         ns.dirty <- true;
         arm_ckpt t node
-          ~at:(Node.now (Engine.node t.eng node) + t.cfg.checkpoint_every_ns)
+          ~at:(Node.now (Engine.node t.eng node) + checkpoint_every_ns)
     | None ->
         (* A message the delivery log never saw (e.g. injected behind
            the manager's back). It cannot be replayed after a crash. *)
@@ -245,10 +233,10 @@ let restart t i =
      | Some img ->
          t.app.a_restore i img;
          Node.charge_ns node
-           (t.cfg.restore_fixed_ns
-           + (Bytes.length img * t.cfg.restore_ns_per_byte))
+           (restore_fixed_ns
+           + (Bytes.length img * restore_ns_per_byte))
      | None -> assert false
-   else Node.charge_ns node t.cfg.restore_fixed_ns);
+   else Node.charge_ns node restore_fixed_ns);
   (* 2. Replay the dispatch log in recorded order, sends suppressed. *)
   ns.replaying <- true;
   List.iter
@@ -275,7 +263,7 @@ let restart t i =
   (* The replayed logs want pruning: a fresh checkpoint one period out
      resets the next crash's replay cost. *)
   ns.dirty <- true;
-  arm_ckpt t i ~at:(Node.now node + t.cfg.checkpoint_every_ns)
+  arm_ckpt t i ~at:(Node.now node + checkpoint_every_ns)
 
 let crash t i ~restart_at =
   let ns = t.ns.(i) in
@@ -313,7 +301,7 @@ let install_journal t rel =
              Hashtbl.replace t.ns.(dst).cursors src expected);
        })
 
-let attach ?(config = default_config) eng ~app ~crashes () =
+let attach eng ~app ~crashes () =
   if not (Engine.faults_active eng) then
     invalid_arg
       "Manager.attach: crash recovery requires a fault plan (pass a plan \
@@ -335,13 +323,10 @@ let attach ?(config = default_config) eng ~app ~crashes () =
     {
       eng;
       app;
-      cfg = config;
       ns =
         Array.init n (fun _ ->
             {
-              store =
-                Store.create ~block_bytes:config.store_block_bytes
-                  ~blocks:config.store_blocks ();
+              store = Store.create ();
               pending = Queue.create ();
               done_log = [];
               replaying = false;

@@ -30,8 +30,8 @@
     as fault windows before traffic starts, so a recorded schedule
     replays every crash — including which in-flight packets die —
     bit-identically. The scripted down window must stay well inside the
-    reliable layer's retry budget (max_retries x max RTO), or the
-    peers' retransmissions give up before the node returns. *)
+    reliable layer's retry budget (64 retransmissions at up to 5 ms), or
+    the peers' retransmissions give up before the node returns. *)
 
 type app = {
   a_snapshot : int -> bytes option;
@@ -48,32 +48,22 @@ type crash_spec = {
   cs_jitter_ns : int;  (** bound for the crash/restart re-timing draws *)
 }
 
-type config = {
-  checkpoint_every_ns : int;
-  restore_fixed_ns : int;  (** fixed restart cost (reboot, store open) *)
-  restore_ns_per_byte : int;  (** checkpoint read-back bandwidth *)
-  store_block_bytes : int;
-  store_blocks : int;
-}
-
-val default_config : config
-(** 200 us checkpoint period, 20 us + 2 ns/B restore, 4096 x 256 B
-    stores. *)
-
 type t
 
 val attach :
-  ?config:config ->
   Machine.Engine.t ->
   app:app ->
   crashes:crash_spec list ->
   unit ->
   t
 (** Wires the recovery hooks and journal, re-times and installs the
-    crash windows and takes checkpoint 0 on every node. Later checkpoints are activity-driven:
-    the first delivery or dispatch after a snapshot arms a per-node
-    timer one period (plus a ["recover.ckpt.stagger"] jitter) out, so safe-points follow each node's own event stream.
-    Call after registering handlers and before posting any work. Raises
+    crash windows and takes checkpoint 0 on every node. Later
+    checkpoints are activity-driven: the first delivery or dispatch
+    after a snapshot arms a per-node timer 200 us (plus a
+    ["recover.ckpt.stagger"] jitter) out, so safe-points follow each
+    node's own event stream. A restart costs 20 us plus 2 ns per
+    checkpoint byte read back; each node's store has {!Store.create}'s
+    default geometry. Call after registering handlers and before posting any work. Raises
     [Invalid_argument] if the machine has no fault plan (the reliable
     layer must be live) or a crash spec is malformed. *)
 

@@ -149,8 +149,6 @@ let pick_least_for t ~node:my_id =
   in
   snd best
 
-let pick_least t ctx = pick_least_for t ~node:(Core.Ctx.node_id ctx)
-
 let deferred_placement () =
   let cell = ref None in
   let pick my_id =

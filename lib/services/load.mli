@@ -3,7 +3,7 @@
 
     Each node can broadcast its instantaneous load (scheduling queue plus
     inbox depth) to its torus neighbours as a [Service] active message;
-    peers record the last value heard. {!pick_least} then implements a
+    peers record the last value heard. {!pick_least_for} then implements a
     locality-aware placement decision using only information locally
     available — the paper's stated basis for remote-creation placement. *)
 
@@ -55,14 +55,11 @@ val report : t -> string
     activation-queue depth, then each neighbour's last-gossiped
     [load/ma_depth] pair ([?] when never heard). *)
 
-val pick_least : t -> Core.Ctx.t -> int
-(** The least-loaded node among self and torus neighbours, judged from
-    the local gossip table. Never-heard neighbours are excluded (unknown
-    is not load 0), so before any gossip arrives the pick falls back to
-    self. Ties break toward the lower node id. *)
-
 val pick_least_for : t -> node:int -> int
-(** As {!pick_least}, judged from the given node's gossip table. *)
+(** The least-loaded node among [node] and its torus neighbours, judged
+    from [node]'s gossip table. Never-heard neighbours are excluded
+    (unknown is not load 0), so before any gossip arrives the pick falls
+    back to [node]. Ties break toward the lower node id. *)
 
 val deferred_placement : unit -> Core.Kernel.placement * (t -> unit)
 (** A load-aware placement policy and its installer. Because placement is

@@ -7,8 +7,6 @@ type t = {
   mutable delivery_count : int;
   mutable batch_count : int;
   mutable batched_frames : int;
-  mutable crash_count : int;
-  mutable restart_count : int;
   traffic : (int * int, int ref) Hashtbl.t;
   busy : int array;  (** accumulated busy ns per node *)
   mutable hash : int;  (** running digest of every observation, in order *)
@@ -33,8 +31,6 @@ let attach_machine machine =
       delivery_count = 0;
       batch_count = 0;
       batched_frames = 0;
-      crash_count = 0;
-      restart_count = 0;
       traffic = Hashtbl.create 64;
       busy = Array.make (Engine.node_count machine) 0;
       hash = 0;
@@ -61,10 +57,8 @@ let attach_machine machine =
            t.hash <-
              mix (mix (mix (mix (mix t.hash 3) time) src) dst) frames
        | Engine.Obs_crash { time; node; incarnation } ->
-           t.crash_count <- t.crash_count + 1;
            t.hash <- mix (mix (mix (mix t.hash 4) time) node) incarnation
        | Engine.Obs_restart { time; node; incarnation } ->
-           t.restart_count <- t.restart_count + 1;
            t.hash <- mix (mix (mix (mix t.hash 5) time) node) incarnation));
   t
 
@@ -73,17 +67,16 @@ let detach t = Engine.set_observer t.machine None
 let hash t = t.hash
 let slices t = t.slice_count
 let deliveries t = t.delivery_count
-let batches t = t.batch_count
-let batched_frames t = t.batched_frames
-let crashes t = t.crash_count
-let restarts t = t.restart_count
 
 let busy_fraction t ~node =
   let makespan = Engine.elapsed t.machine in
   if makespan = 0 then 0.
   else float_of_int t.busy.(node) /. float_of_int makespan
 
-let render ?(width = 64) ?(max_rows = 16) t =
+(* Nodes past this row count are left out of the gantt chart. *)
+let max_rows = 16
+
+let render ?(width = 64) t =
   let makespan = max 1 (Engine.elapsed t.machine) in
   let nodes = min max_rows (Engine.node_count t.machine) in
   let buckets = Array.make_matrix nodes width 0 in

@@ -21,23 +21,11 @@ val hash : t -> int
     engine emitted the same observation stream — the check behind
     "replaying a recorded schedule reproduces the run bit-identically". *)
 
-val batches : t -> int
-(** Aggregated multi-frame packets observed (0 with coalescing off). *)
-
-val batched_frames : t -> int
-(** Frames that arrived inside those batches. *)
-
-val crashes : t -> int
-(** Node crashes observed (fabric-injected kills). *)
-
-val restarts : t -> int
-(** Node restarts observed; at a clean end equals {!crashes}. *)
-
 val busy_fraction : t -> node:int -> float
 (** Recorded busy time of a node divided by the machine's makespan. *)
 
-val render : ?width:int -> ?max_rows:int -> t -> string
-(** A text gantt chart: one row per node (earliest [max_rows] nodes),
+val render : ?width:int -> t -> string
+(** A text gantt chart: one row per node (the first 16 nodes),
     [width] time buckets; a bucket shows how busy the node was in it
     ([' '] idle, ['.'] <50%, ['#'] >=50%). Includes a traffic line. *)
 

@@ -18,7 +18,6 @@ type config = {
   process : process;
   rate_rps : int;
   requests : int;
-  start_ns : int;
   mix : mix;
   key_dist : key_dist;
 }
@@ -29,10 +28,12 @@ let default_config =
     process = Poisson;
     rate_rps = 200_000;
     requests = 1_000;
-    start_ns = 1_000;
     mix = default_mix;
     key_dist = Uniform;
   }
+
+(* The first arrival instant of every chain. *)
+let start_ns = 1_000
 
 (* One arrival chain. Classic mode runs a single global chain
    ([g_node = -1], injection node drawn per arrival); sharded mode runs
@@ -168,7 +169,7 @@ let launch cfg sys kv =
         inject t g ~node ~at ~req_id:g.g_count ~decide;
         if g.g_count < cfg.requests then arm (at + next_gap cfg g.g_rng ~period ~decide))
   in
-  arm cfg.start_ns;
+  arm start_ns;
   t
 
 let launch_sharded cfg sys kv =
@@ -210,13 +211,12 @@ let launch_sharded cfg sys kv =
               if g.g_count < g.g_share then
                 arm (at + next_gap cfg g.g_rng ~period ~decide))
         in
-        arm cfg.start_ns
+        arm start_ns
       end)
     gens;
   t
 
 let injected t = Array.fold_left (fun acc g -> acc + g.g_count) 0 t.gens
-let sharded t = Array.length t.gens > 0 && t.gens.(0).g_node >= 0
 let config t = t.cfg
 let store t = t.kv
 

@@ -42,7 +42,6 @@ type config = {
   process : process;
   rate_rps : int;  (** offered load, requests per second of virtual time *)
   requests : int;  (** total injections, after which the process stops *)
-  start_ns : int;  (** first arrival instant *)
   mix : mix;
   key_dist : key_dist;  (** key popularity; [Uniform] is the baseline *)
 }
@@ -54,7 +53,7 @@ type t
 
 val launch : config -> Core.System.t -> Apps.Kv_store.t -> t
 (** Arms the arrival process on the system's engine (first arrival at
-    [start_ns]). Call after {!Apps.Kv_store.spawn} and before
+    1 us). Call after {!Apps.Kv_store.spawn} and before
     [System.run]; injections ride the run. *)
 
 val launch_sharded : config -> Core.System.t -> Apps.Kv_store.t -> t
@@ -70,9 +69,6 @@ val launch_sharded : config -> Core.System.t -> Apps.Kv_store.t -> t
     sequential engine. *)
 
 val injected : t -> int
-
-val sharded : t -> bool
-(** Whether this generator was built by {!launch_sharded}. *)
 
 val config : t -> config
 val store : t -> Apps.Kv_store.t

@@ -5,7 +5,8 @@
    open-loop KV workload produces identical Timeline hashes and
    identical merged KV metric folds at 1, 2, 4 and 8 domains. Also the
    guard-path contract (a rejected [run_parallel] — contention, a
-   tie-break hook, a fault plan, recovery hooks — is side-effect-free)
+   tie-break hook, a fault plan, recovery hooks, engine-level timers
+   armed by DGC or a migration policy — is side-effect-free)
    and the structured [Lookahead_violation] error. *)
 
 open Core
@@ -120,8 +121,9 @@ let test_run_parallel_rejects_gossip () =
     { System.default_rt_config with Kernel.gossip_interval_ns = 1_000 }
   in
   let sys = System.boot ~rt_config ~nodes:2 ~classes:[] () in
+  ignore (Services.Load.attach sys);
   Alcotest.check_raises "gossip has no per-domain decomposition"
-    (Invalid_argument "System.run_parallel: gossip_interval_ns requires [run]")
+    (Invalid_argument "Engine.run_parallel: engine-level timer scheduled")
     (fun () -> System.run_parallel sys ~domains:2)
 
 (* --- rejected run_parallel is side-effect-free ----------------------- *)
@@ -136,7 +138,7 @@ let run_seq_workload ?machine_config ~setup ~seed ~trip () =
   let kv = Kv.create ~shards:4 () in
   let sys = System.boot ?machine_config ~nodes:4 ~classes:(Kv.classes kv) () in
   let machine = System.machine sys in
-  setup machine;
+  setup sys;
   Kv.spawn kv sys;
   let tl = Services.Timeline.attach sys in
   let _lg =
@@ -213,12 +215,47 @@ let test_rejected_recovery_side_effect_free () =
     }
   in
   check_rejection_side_effect_free ~machine_config:faulted_config
-    ~setup:(fun machine -> ignore (Manager.attach machine ~app ~crashes:[] ()))
+    ~setup:(fun sys ->
+      ignore (Manager.attach (System.machine sys) ~app ~crashes:[] ()))
     ~seed:94
     ~trip:(fun machine ->
       expect_rejection machine ~what:"a recovery manager"
         ~expect:"Engine.run_parallel: recovery hooks need the sequential engine")
     ()
+
+(* Periodic services arm engine-level timers whose rounds advance and
+   sweep every node; no domain owns them, so a parallel run that
+   executed them on one domain would change its Timeline hash with the
+   domain count. *)
+let test_rejected_dgc_side_effect_free () =
+  check_rejection_side_effect_free
+    ~setup:(fun sys -> ignore (Dgc.attach ~interval_ns:20_000 sys))
+    ~seed:95
+    ~trip:(fun machine ->
+      expect_rejection machine ~what:"DGC sweep rounds"
+        ~expect:"Engine.run_parallel: engine-level timer scheduled")
+    ()
+
+let test_rejected_migration_policy_side_effect_free () =
+  let policy = Migrate.Policy.Affinity_pull { min_msgs = 4; max_moves = 4 } in
+  check_rejection_side_effect_free
+    ~setup:(fun sys -> ignore (Migrate.attach ~policy ~interval_ns:20_000 sys))
+    ~seed:96
+    ~trip:(fun machine ->
+      expect_rejection machine ~what:"migration-policy rounds"
+        ~expect:"Engine.run_parallel: engine-level timer scheduled")
+    ()
+
+(* A node-owned timer may not arm an engine-level one mid-run: the new
+   timer would have no owning domain. *)
+let test_schedule_at_inside_parallel_run () =
+  let m = Engine.create ~nodes:2 () in
+  Engine.schedule_on m ~node:1 ~time:1_000 (fun () ->
+      Engine.schedule_at m ~time:2_000 ignore);
+  Alcotest.check_raises "engine-level timer refused"
+    (Invalid_argument
+       "Engine.schedule_at: engine-level timer during a parallel run")
+    (fun () -> Engine.run_parallel m ~domains:2 ())
 
 let test_rejected_contention_side_effect_free () =
   let machine_config =
@@ -514,6 +551,12 @@ let () =
             test_rejected_fault_plan_side_effect_free;
           Alcotest.test_case "rejected recovery call leaves no trace" `Quick
             test_rejected_recovery_side_effect_free;
+          Alcotest.test_case "rejected DGC call leaves no trace" `Quick
+            test_rejected_dgc_side_effect_free;
+          Alcotest.test_case "rejected migration-policy call leaves no trace"
+            `Quick test_rejected_migration_policy_side_effect_free;
+          Alcotest.test_case "schedule_at inside a parallel run" `Quick
+            test_schedule_at_inside_parallel_run;
         ] );
       ( "merge",
         [
